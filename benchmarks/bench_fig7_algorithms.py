@@ -7,8 +7,7 @@ algorithms appear side by side in the benchmark table.
 """
 import pytest
 
-from repro.core.otcd import otcd_query
-from repro.core.tcd import tcd_query
+from repro.core.otcd import otcd_query, tcd_query
 from repro.experiments.queries import selected_queries
 from repro.experiments.tables import query_edges, query_tel
 from repro.phc.baseline import iphc_query

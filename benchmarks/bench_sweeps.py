@@ -10,8 +10,7 @@ query per graph).
 """
 import pytest
 
-from repro.core.otcd import otcd_query
-from repro.core.tcd import tcd_query
+from repro.core.otcd import otcd_query, tcd_query
 from repro.datasets.temporal import DATASETS
 from repro.experiments.queries import selected_queries
 from repro.experiments.tables import query_tel

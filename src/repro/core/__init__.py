@@ -1,7 +1,7 @@
 """The paper's primary contribution: TEL, TCD, OTCD and TTI pruning."""
-from .otcd import IntervalSet, otcd_query
+from .otcd import IntervalSet, otcd_query, tcd_query
 from .records import CoreRecord, QueryResult, QueryStats
-from .tcd import row_sweep_distinct, tcd_operation, tcd_query, window_tel
+from .tcd import tcd_operation, window_tel
 from .tel import TEL, DegreeHeap
 
 __all__ = [
@@ -14,6 +14,5 @@ __all__ = [
     "tcd_operation",
     "tcd_query",
     "otcd_query",
-    "row_sweep_distinct",
     "window_tel",
 ]

@@ -12,8 +12,8 @@ import tracemalloc
 
 import pandas as pd
 
-from ..core.otcd import otcd_query
-from ..core.tcd import tcd_query, window_tel
+from ..core.otcd import otcd_query, tcd_query
+from ..core.tcd import window_tel
 from ..core.tel import TEL
 from ..datasets.temporal import DATASETS, edge_arrays, generate, tick_to_date
 from ..phc.baseline import iphc_query

@@ -1,5 +1,5 @@
 """PHC-Index and the iPHC-Query baseline (paper §2.3)."""
 from .baseline import iphc_query
-from .index import build_phc_index, core_times_for_anchor
+from .index import build_phc_index
 
-__all__ = ["iphc_query", "build_phc_index", "core_times_for_anchor"]
+__all__ = ["iphc_query", "build_phc_index"]

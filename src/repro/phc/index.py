@@ -7,9 +7,10 @@ then belongs to the historical k-core of ``[ts, te]`` iff
 ``core_time(v, ts) <= te``.
 
 We build the index for the queried ``k`` and every anchor
-``ts in [Ts, Te]`` by running one decremental TEL row sweep per anchor
-(sweeping ``te`` from ``Te`` down; the step at which a vertex drops out
-of the core is exactly its core time). Restricting construction to the
+``ts in [Ts, Te]`` with one unpruned schedule sweep
+(:func:`repro.core.otcd.sweep`) over ``TEL(G_[Ts,Te])``: within a row
+``te`` descends, so the last ``te`` at which a vertex is still in the
+core is exactly its core time. Restricting construction to the
 query's ``k`` and range strictly *favours* the baseline relative to the
 paper's full offline index — documented in DESIGN.md. A Spark-parallel
 builder over anchors lives in ``repro.sparkdist.phc``.
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.tcd import tcd_operation
-from ..core.tel import TEL
+from ..core.otcd import sweep
+from ..core.tcd import tcd_operation  # noqa: F401  (patched by perfbench's traced run)
+from ..core.tcd import window_tel
 
 Edge = tuple[int, int, int]
 
@@ -27,42 +29,27 @@ Edge = tuple[int, int, int]
 PHCIndex = dict[int, dict[int, int]]
 
 
-def core_times_for_anchor(
-    graph: TEL, k: int, ts: int, Te: int
-) -> dict[int, int]:
-    """Core time of every vertex for anchor ``ts`` (absent = never in
-    the k-core within ``[ts, Te]``). One decremental row sweep."""
-    row = graph.copy()
-    tcd_operation(row, k, ts, Te)
-    ct: dict[int, int] = {}
-    # Vertices present at [ts, te] have core time <= te; the final value
-    # is the last te at which they were still present.
-    prev = set(row.deg)
-    for v in prev:
-        ct[v] = Te
-    for te in range(Te - 1, ts - 1, -1):
-        if row.is_empty():
-            break
-        tcd_operation(row, k, ts, te)
-        cur = set(row.deg)
-        for v in cur:
-            ct[v] = te
-        prev = cur
-    return ct
-
-
 def build_phc_index(
-    edges: Sequence[Edge], k: int, Ts: int, Te: int
+    edges: Sequence[Edge],
+    k: int,
+    Ts: int,
+    Te: int,
+    *,
+    rows: tuple[int, int] | None = None,
 ) -> PHCIndex:
-    """Core times for every anchor ``ts in [Ts, Te]`` at coreness ``k``.
+    """Core times for every anchor ``ts`` in ``rows`` (default
+    ``[Ts, Te]``) at coreness ``k``; a vertex absent from ``index[ts]``
+    is never in the k-core within ``[ts, Te]``.
 
-    The graph is truncated to ``[Ts, Te]`` once; each anchor then runs
-    an independent row sweep (this is the offline precomputation whose
-    cost the paper's Figure 7 excludes from baseline response time).
+    This is the offline precomputation whose cost the paper's Figure 7
+    excludes from baseline response time.
     """
-    base = TEL.from_edges(edges)
-    tcd_operation(base, 0, Ts, Te)  # k=0: pure truncation, no peeling
-    index: PHCIndex = {}
-    for ts in range(Ts, Te + 1):
-        index[ts] = core_times_for_anchor(base, k, ts, Te)
+    lo, hi = rows or (Ts, Te)
+    us, vs, tts = zip(*edges) if edges else ((), (), ())
+    index: PHCIndex = {ts: {} for ts in range(lo, hi + 1)}
+    window = window_tel(us, vs, tts, Ts, Te)
+    for ts, te, core in sweep(window, k, Ts, Te, rows=rows, prune=False):
+        ct = index[ts]
+        for v in core.deg:
+            ct[v] = te
     return index

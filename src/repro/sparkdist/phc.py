@@ -1,8 +1,9 @@
 """Spark-parallel PHC-Index construction.
 
-The index build (one decremental row sweep per anchor ``ts``) is
-embarrassingly parallel over anchors; this module fans the anchors out
-as ``applyInPandas`` tasks over a broadcast of the projected window and
+The index build (one unpruned schedule sweep over the anchors ``ts``)
+is embarrassingly parallel over anchors by Theorem 1; this module fans
+the anchors out as ``applyInPandas`` tasks over a broadcast of the
+projected window, each running ``build_phc_index`` on its one row, and
 returns the index as a DataFrame ``(ts, vtx, core_time)`` — the
 distributed equivalent of :func:`repro.phc.index.build_phc_index`.
 """
@@ -22,16 +23,14 @@ def build_phc_index_df(
     """Core time of every vertex for every anchor in ``[Ts, Te]``."""
     window = projected(edges, Ts, Te).toPandas()
     bc = spark.sparkContext.broadcast(
-        (window["u"].tolist(), window["v"].tolist(), window["t"].tolist(), k, Te)
+        (window["u"].tolist(), window["v"].tolist(), window["t"].tolist())
     )
 
     def anchor_core_times(pdf: pd.DataFrame) -> pd.DataFrame:
-        from repro.core.tel import TEL
-        from repro.phc.index import core_times_for_anchor
+        from repro.phc.index import build_phc_index
 
-        us, vs, tts, kk, te_max = bc.value
         ts = int(pdf["ts"].iloc[0])
-        ct = core_times_for_anchor(TEL(us, vs, tts), kk, ts, te_max)
+        ct = build_phc_index(list(zip(*bc.value)), k, Ts, Te, rows=(ts, ts))[ts]
         return pd.DataFrame(
             [(ts, v, t) for v, t in sorted(ct.items())],
             columns=["ts", "vtx", "core_time"],

@@ -10,10 +10,10 @@ Strategy (DESIGN.md §2, "Layering decision"):
 2. The surviving core edges are broadcast; the anchor rows of the
    subinterval schedule fan out as one ``applyInPandas`` task per
    anchor. Each task rebuilds a TEL from the broadcast arrays and runs
-   the decremental row sweep with PoR jumping
-   (:func:`repro.core.tcd.row_sweep_distinct`). Rows are independent by
-   Theorem 1 (each row's start core is induced directly from
-   ``T^k_[Ts,Te]``).
+   the driver's OTCD over its single row (``otcd_query(..., rows=(ts,
+   ts))``); within one row only PoR skips cells, since PoU and PoL prune
+   later rows. Rows are independent by Theorem 1 (each row's start core
+   is induced directly from ``T^k_[Ts,Te]``).
 3. Cross-row duplicates (what PoU/PoL prune on a single machine) are
    removed by a distinct-by-TTI aggregation, correct by TTI Equivalence
    (Property 2).
@@ -24,6 +24,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from ..core.otcd import check_query
 from .decomposition import temporal_kcore_df
 
 RESULT_SCHEMA = (
@@ -39,6 +40,7 @@ def distributed_tcq(
     ``first_ts/first_te`` is the schedule-order-first subinterval that
     induces the core (matching the driver OTCD's reporting).
     """
+    check_query(k, Ts, Te)
     core0 = temporal_kcore_df(edges, k, Ts, Te).toPandas()
     if core0.empty:
         return spark.createDataFrame(
@@ -46,32 +48,26 @@ def distributed_tcq(
                 "first_ts long, first_te long",
         )
     bc = spark.sparkContext.broadcast(
-        (
-            core0["u"].tolist(),
-            core0["v"].tolist(),
-            core0["t"].tolist(),
-            k,
-            Te,
-        )
+        (core0["u"].tolist(), core0["v"].tolist(), core0["t"].tolist())
     )
 
-    def sweep(pdf: pd.DataFrame) -> pd.DataFrame:
+    def anchor_row(pdf: pd.DataFrame) -> pd.DataFrame:
         # One anchor row of the schedule per task (import inside the
         # task: executors deserialise this closure without the module).
-        from repro.core.tcd import row_sweep_distinct
+        from repro.core.otcd import otcd_query
         from repro.core.tel import TEL
 
-        us, vs, tts, kk, te_max = bc.value
         ts = int(pdf["ts"].iloc[0])
-        tel = TEL(us, vs, tts)
-        rows = row_sweep_distinct(tel, kk, ts, te_max)
+        res = otcd_query(
+            TEL(*bc.value), k, Ts, Te, rows=(ts, ts), signatures=False
+        )
         return pd.DataFrame(
-            [(ts, te, a, b, nv, ne) for (te, a, b, nv, ne) in rows],
+            [(c.ts, c.te, *c.tti, c.n_vertices, c.n_edges) for c in res.cores],
             columns=["ts", "te", "tti_s", "tti_e", "n_vertices", "n_edges"],
         )
 
     anchors = spark.range(Ts, Te + 1).withColumnRenamed("id", "ts")
-    per_row = anchors.groupBy("ts").applyInPandas(sweep, RESULT_SCHEMA)
+    per_row = anchors.groupBy("ts").applyInPandas(anchor_row, RESULT_SCHEMA)
     # Distinct-by-TTI; a TTI uniquely identifies the core (Property 2),
     # so min over (ts, -te) reproduces schedule order (row-major with te
     # descending means the first inducer has the smallest ts, then the

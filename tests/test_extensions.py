@@ -2,14 +2,8 @@
 import pytest
 
 from repro.core import reference as ref
-from repro.core.extensions import (
-    requery_after_append,
-    span_constrained_query,
-    strength_constrained_query,
-    top_n_shortest_span,
-)
-from repro.core.otcd import otcd_query
-from repro.core.tcd import tcd_query
+from repro.core.extensions import requery_after_append, top_n_shortest_span
+from repro.core.otcd import otcd_query, tcd_query
 
 from .util import bursty_temporal_graph, random_temporal_graph, tel_of
 
@@ -22,8 +16,8 @@ class TestLinkStrength:
         expect = set(
             ref.distinct_cores(edges, 2, 1, 6, min_strength=sigma)
         )
-        res = strength_constrained_query(
-            tel_of(edges, 1, 6), 2, 1, 6, sigma, materialize=True
+        res = otcd_query(
+            tel_of(edges, 1, 6), 2, 1, 6, min_strength=sigma, materialize=True
         )
         assert {c.edges for c in res.cores} == expect
 
@@ -31,7 +25,7 @@ class TestLinkStrength:
         edges = bursty_temporal_graph(0)
         tel = tel_of(edges)
         plain = otcd_query(tel, 2, 1, 20)
-        s1 = strength_constrained_query(tel, 2, 1, 20, 1)
+        s1 = otcd_query(tel, 2, 1, 20, min_strength=1)
         assert plain.keys() == s1.keys()
 
     def test_strength_filters_weak_pairs(self):
@@ -39,12 +33,12 @@ class TestLinkStrength:
         edges = [(1, 2, 1), (2, 3, 1), (1, 3, 2)]
         tel = tel_of(edges)
         assert otcd_query(tel, 2, 1, 2).cores
-        assert not strength_constrained_query(tel, 2, 1, 2, 2).cores
+        assert not otcd_query(tel, 2, 1, 2, min_strength=2).cores
 
     def test_strength_keeps_reinforced_triangle(self):
         edges = [(1, 2, 1), (1, 2, 2), (2, 3, 1), (2, 3, 2), (1, 3, 1), (1, 3, 2)]
-        res = strength_constrained_query(tel_of(edges), 2, 1, 2, 2,
-                                         materialize=True)
+        res = otcd_query(tel_of(edges), 2, 1, 2, min_strength=2,
+                         materialize=True)
         assert len(res.cores) >= 1
         assert res.cores[0].n_vertices == 3
 
@@ -52,7 +46,7 @@ class TestLinkStrength:
         edges = random_temporal_graph(3, n_vertices=6, n_edges=60, n_ticks=6)
         tel = tel_of(edges, 1, 6)
         a = tcd_query(tel, 2, 1, 6, min_strength=2, materialize=True)
-        b = strength_constrained_query(tel, 2, 1, 6, 2, materialize=True)
+        b = otcd_query(tel, 2, 1, 6, min_strength=2, materialize=True)
         assert {c.edges for c in a.cores} == {c.edges for c in b.cores}
 
 
@@ -61,7 +55,7 @@ class TestTimeSpan:
         edges = bursty_temporal_graph(1, burst_window=(8, 11))
         tel = tel_of(edges)
         allc = otcd_query(tel, 2, 1, 20)
-        short = span_constrained_query(tel, 2, 1, 20, max_span=4)
+        short = otcd_query(tel, 2, 1, 20, max_span=4)
         assert short.ttis() == {
             t for t in allc.ttis() if t[1] - t[0] + 1 <= 4
         }
@@ -69,7 +63,7 @@ class TestTimeSpan:
     def test_max_span_matches_reference(self):
         edges = bursty_temporal_graph(2, burst_window=(8, 11))
         expect = set(ref.distinct_cores(edges, 2, 1, 20, max_span=3))
-        res = span_constrained_query(
+        res = otcd_query(
             tel_of(edges), 2, 1, 20, max_span=3, materialize=True
         )
         assert {c.edges for c in res.cores} == expect

@@ -1,10 +1,9 @@
 """Cross-algorithm integration on the actual evaluation workload:
 for one query per dataset (at a reduced scale factor), the baseline,
-TCD, OTCD and the per-row distributed kernel must agree exactly."""
+TCD, OTCD and the one-row distributed anchor task must agree exactly."""
 import pytest
 
-from repro.core.otcd import otcd_query
-from repro.core.tcd import row_sweep_distinct, tcd_query
+from repro.core.otcd import otcd_query, tcd_query
 from repro.experiments.queries import selected_queries
 from repro.experiments.tables import query_edges, query_tel
 from repro.phc.baseline import iphc_query
@@ -30,15 +29,14 @@ def test_three_algorithms_agree_on_workload(qid):
 
 @pytest.mark.parametrize("qid", QIDS)
 def test_row_sweep_kernel_covers_all_ttis(qid):
-    """Union of the per-anchor row sweeps (the distributed kernel) must
-    produce exactly OTCD's distinct TTIs."""
+    """Union of the one-row OTCD sweeps (the distributed anchor task)
+    must produce exactly OTCD's distinct TTIs."""
     q = _QUERIES[qid]
     tel = query_tel(q, sf=SF)
     want = otcd_query(tel, q.k, q.Ts, q.Te).ttis()
     got = set()
     for ts in range(q.Ts, q.Te + 1):
-        for (_, a, b, _, _) in row_sweep_distinct(tel.copy(), q.k, ts, q.Te):
-            got.add((a, b))
+        got |= otcd_query(tel, q.k, q.Ts, q.Te, rows=(ts, ts)).ttis()
     assert got == want
 
 

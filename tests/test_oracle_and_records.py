@@ -1,9 +1,7 @@
-"""Self-tests of the DuckDB oracle, the provided synth_data module and
-the result-record types."""
+"""Self-tests of the DuckDB oracle and the result-record types."""
 import pandas as pd
 import pytest
 
-from repro import synth_data
 from repro.core.records import CoreRecord, QueryResult, QueryStats
 from repro.oracle import assert_equivalent
 
@@ -37,22 +35,6 @@ class TestOracle:
         assert_equivalent(
             got, "SELECT k, count(*) AS count FROM t GROUP BY k", t=sdf
         )
-
-
-class TestSynthData:
-    def test_lineitem_deterministic(self, spark):
-        a = synth_data.lineitem(spark, sf=0.001, seed=7).toPandas()
-        b = synth_data.lineitem(spark, sf=0.001, seed=7).toPandas()
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_zipf_keys_skewed(self, spark):
-        df = synth_data.zipf_keys(spark, n=5000, n_keys=100).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.iloc[0] > 3 * counts.iloc[-1]
-
-    def test_uniform_keys_range(self, spark):
-        df = synth_data.uniform_keys(spark, n=1000, n_keys=50).toPandas()
-        assert df["k"].between(1, 50).all()
 
 
 class TestRecords:

@@ -3,8 +3,8 @@ plus the paper's claims about the pruning rules (§4.3)."""
 import pytest
 
 from repro.core import reference as ref
-from repro.core.otcd import otcd_query
-from repro.core.tcd import tcd_query
+from repro.core.otcd import otcd_query, tcd_query
+from repro.sparkdist.tcq import distributed_tcq
 
 from .util import bursty_temporal_graph, random_temporal_graph, tel_of
 
@@ -103,3 +103,18 @@ def test_first_inducer_reported_in_schedule_order():
     for c in res.cores:
         assert c.ts <= c.tti[0]
         assert c.te >= c.tti[1]
+
+
+@pytest.mark.parametrize("k, Ts, Te", [(0, 1, 9), (-1, 1, 9), (2, 9, 1)])
+@pytest.mark.parametrize("query", [tcd_query, otcd_query])
+def test_rejects_invalid_query(query, k, Ts, Te):
+    tel = tel_of(bursty_temporal_graph(0))
+    with pytest.raises(ValueError):
+        query(tel, k, Ts, Te)
+
+
+@pytest.mark.parametrize("k, Ts, Te", [(0, 1, 9), (-1, 1, 9), (2, 9, 1)])
+def test_distributed_tcq_rejects_invalid_query(k, Ts, Te):
+    # Validation runs before any Spark work, so no session is needed.
+    with pytest.raises(ValueError):
+        distributed_tcq(None, None, k, Ts, Te)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import reference as ref
-from repro.core.otcd import otcd_query
-from repro.core.tcd import tcd_operation, tcd_query
+from repro.core.otcd import otcd_query, tcd_query
+from repro.core.tcd import tcd_operation
 
 from .util import tel_of
 
@@ -32,13 +32,21 @@ def test_tel_build_invariants(edges):
 
 
 @settings(max_examples=40, deadline=None)
-@given(edges=edges_st, k=st.integers(1, 3), ts=st.integers(1, 6), te=st.integers(1, 6))
-def test_tcd_operation_equals_reference(edges, k, ts, te):
+@given(
+    edges=edges_st,
+    k=st.integers(1, 3),
+    ts=st.integers(1, 6),
+    te=st.integers(1, 6),
+    min_strength=st.integers(1, 3),
+)
+def test_tcd_operation_equals_reference(edges, k, ts, te, min_strength):
     if ts > te:
         ts, te = te, ts
     tel = tel_of(edges)
-    tcd_operation(tel, k, ts, te)
-    assert tel.edges() == ref.temporal_kcore(edges, k, ts, te)
+    tcd_operation(tel, k, ts, te, min_strength=min_strength)
+    assert tel.edges() == ref.temporal_kcore(
+        edges, k, ts, te, min_strength=min_strength
+    )
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,8 +6,7 @@ bursts that later merge into a larger community — the scenario of
 Example 1 (small cores merged into large ones, one pivotal vertex
 present in all of them).
 """
-from repro.core.otcd import otcd_query
-from repro.core.tcd import tcd_query
+from repro.core.otcd import otcd_query, tcd_query
 
 from .util import tel_of
 

@@ -3,7 +3,7 @@ subintervals (distinct-core semantics of Definition 2)."""
 import pytest
 
 from repro.core import reference as ref
-from repro.core.tcd import tcd_query
+from repro.core.otcd import tcd_query
 
 from .util import bursty_temporal_graph, random_temporal_graph, tel_of
 

@@ -61,11 +61,3 @@ def tel_of(edges: list[Edge], ts: int | None = None, te: int | None = None) -> T
 def edges_pdf(edges: list[Edge]) -> pd.DataFrame:
     """Edge list as the canonical ``(u, v, t)`` pandas frame."""
     return pd.DataFrame(edges, columns=["u", "v", "t"])
-
-
-def alive_edge_triples(tel: TEL) -> set[Edge]:
-    """The multiset of alive edges as a set of (u, v, t, occurrence)
-    would require occurrence counting; tests that need multiset equality
-    use sorted lists via ``tel.edges()`` instead. This helper returns the
-    plain set for graphs generated without duplicate triples."""
-    return set(tel.edges())
