@@ -19,11 +19,11 @@ def temporal_kcore(
 ) -> list[Edge]:
     """The temporal k-core ``T^k_[ts,te]`` as a sorted edge list.
 
-    Degree counts *distinct neighbours*; ``min_strength`` additionally
-    requires at least that many parallel edges per retained pair
-    (link-strength extension, paper §6.2).
+    Degree counts *distinct other* vertices, so self-loops are dropped;
+    ``min_strength`` additionally requires at least that many parallel
+    edges per retained pair (link-strength extension, paper §6.2).
     """
-    window = [(u, v, t) for (u, v, t) in edges if ts <= t <= te]
+    window = [(u, v, t) for (u, v, t) in edges if ts <= t <= te and u != v]
     mult: dict[tuple[int, int], int] = defaultdict(int)
     for u, v, _ in window:
         a, b = (u, v) if u <= v else (v, u)

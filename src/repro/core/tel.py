@@ -18,6 +18,15 @@ degrees, which Algorithm 4 uses to pop sub-``k`` vertices.
 All mutating operations keep the invariant that a timestamp node exists
 on the timeline iff its TL is non-empty, so the TTI of the represented
 (sub)graph is always ``(head.t, tail.t)``.
+
+**Input model.** A temporal graph is three parallel edge arrays
+``edge_u/edge_v/edge_t`` sorted by ``t`` (non-decreasing, ties in arrival
+order), and an edge's id is its position. Sortedness makes every window
+``G_[ts,te]`` a contiguous id range that :func:`repro.core.tcd.window_ids`
+cuts by binary search. Self-loops ``(v, v, t)`` keep their id but never
+join a TEL: degree counts distinct *other* vertices. Arrays handed to a
+TEL are shared, never mutated: a TEL copies them into lists of its own
+before its first :meth:`TEL.add_edge`.
 """
 from __future__ import annotations
 
@@ -71,14 +80,16 @@ class DegreeHeap:
 class TEL:
     """Temporal Edge List over edges ``(u, v, t)`` with stable edge ids.
 
-    Edge ids index into the immutable ``edge_u/edge_v/edge_t`` arrays
-    shared by every TEL derived from the same base graph, so edge-set
-    signatures are comparable across copies and across processes that
-    rebuilt the arrays deterministically.
+    Edge ids index into the ``edge_u/edge_v/edge_t`` arrays shared by
+    every TEL derived from the same base graph, so edge-set signatures
+    are comparable across copies and across processes that rebuilt the
+    arrays deterministically. ``eids`` selects the edges to index (any
+    order; :func:`repro.core.tcd.window_tel` passes a window's id range);
+    self-loops among them are skipped.
     """
 
     __slots__ = (
-        "edge_u", "edge_v", "edge_t",
+        "edge_u", "edge_v", "edge_t", "owns_arrays",
         "alive", "tl", "next_t", "prev_t", "head_t", "tail_t",
         "sl", "dl", "nbr", "deg", "heap", "n_edges",
     )
@@ -93,6 +104,7 @@ class TEL:
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.edge_t = edge_t
+        self.owns_arrays = False
         if eids is None:
             eids = range(len(edge_u))
         # TL: timestamp -> set of edge ids; timeline threaded via dicts.
@@ -103,6 +115,8 @@ class TEL:
         alive: set[int] = set()
         for e in eids:
             u, v, t = edge_u[e], edge_v[e], edge_t[e]
+            if u == v:
+                continue
             alive.add(e)
             tl.setdefault(t, set()).add(e)
             sl.setdefault(u, set()).add(e)
@@ -132,7 +146,8 @@ class TEL:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int, int]]) -> "TEL":
-        """Build a TEL from an iterable of ``(u, v, t)`` triples."""
+        """Build a TEL from an iterable of ``(u, v, t)`` triples
+        (edge id = position in ``edges``)."""
         us, vs, ts = [], [], []
         for u, v, t in edges:
             us.append(u)
@@ -143,12 +158,29 @@ class TEL:
     def copy(self) -> "TEL":
         """An independent TEL over the currently-alive edges.
 
-        Shares the immutable edge arrays; rebuilds the mutable index.
-        Used by (O)TCD to start each anchor row from ``T^k_[ts, Te]``
-        without disturbing the row-start chain instance (paper §5.2
-        keeps exactly these two instances in memory).
+        Equal field by field to ``TEL(edge_u, edge_v, edge_t,
+        eids=self.alive)`` but copies the containers (C-level set and
+        dict copies, a re-heapified ``H_v``) instead of re-inserting
+        every edge. Used by (O)TCD to start each anchor row from
+        ``T^k_[ts, Te]`` without disturbing the row-start chain instance
+        (paper §5.2 keeps exactly these two instances in memory).
         """
-        return TEL(self.edge_u, self.edge_v, self.edge_t, eids=self.alive)
+        cp = TEL.__new__(TEL)
+        cp.edge_u, cp.edge_v, cp.edge_t = self.edge_u, self.edge_v, self.edge_t
+        # Both TELs now share the arrays, so either copies before appending.
+        self.owns_arrays = cp.owns_arrays = False
+        cp.alive = self.alive.copy()
+        cp.tl = {t: b.copy() for t, b in self.tl.items()}
+        cp.next_t = self.next_t.copy()
+        cp.prev_t = self.prev_t.copy()
+        cp.head_t, cp.tail_t = self.head_t, self.tail_t
+        cp.sl = {v: s.copy() for v, s in self.sl.items()}
+        cp.dl = {v: s.copy() for v, s in self.dl.items()}
+        cp.nbr = {v: c.copy() for v, c in self.nbr.items()}
+        cp.deg = self.deg.copy()
+        cp.heap = DegreeHeap(cp.deg)
+        cp.n_edges = self.n_edges
+        return cp
 
     # -- O(1) manipulations (paper Table 1) --------------------------------
 
@@ -219,17 +251,27 @@ class TEL:
 
     def add_edge(self, u: int, v: int, t: int) -> int:
         """Dynamic-graph append (paper §6.1): ``t`` must be >= every
-        existing timestamp (new events arrive in time order). O(1)."""
+        existing timestamp (new events arrive in time order). Returns
+        the new edge's id, the next position of the edge arrays. O(1),
+        except that the first append to shared arrays copies them into
+        lists this TEL owns. A self-loop takes an id but is not indexed.
+        """
         if self.tail_t is not None and t < self.tail_t:
             raise ValueError(
                 f"add_edge requires non-decreasing timestamps "
                 f"(got {t} < tail {self.tail_t})"
             )
-        # Mutable id space: extend the arrays (they must be list-backed).
+        if not self.owns_arrays:
+            self.edge_u = list(self.edge_u)
+            self.edge_v = list(self.edge_v)
+            self.edge_t = list(self.edge_t)
+            self.owns_arrays = True
         e = len(self.edge_u)
-        self.edge_u.append(u)  # type: ignore[attr-defined]
-        self.edge_v.append(v)  # type: ignore[attr-defined]
-        self.edge_t.append(t)  # type: ignore[attr-defined]
+        self.edge_u.append(u)
+        self.edge_v.append(v)
+        self.edge_t.append(t)
+        if u == v:
+            return e
         self.alive.add(e)
         self.n_edges += 1
         if t in self.tl:

@@ -173,7 +173,8 @@ def _generate_cached(name: str, sf: float) -> pd.DataFrame:
 
 def generate_pdf(spec: DatasetSpec) -> pd.DataFrame:
     """The full edge table ``(u, v, t)`` as pandas, sorted by timestamp
-    (stable), which is the arrival order a streaming ingest would see."""
+    (stable), which is the arrival order a streaming ingest would see and
+    the input model of :mod:`repro.core.tel` (edge id = row position)."""
     rng = np.random.default_rng(spec.seed)
     starts, sizes = _community_layout(spec, rng)
     sched = burst_schedule(spec)
@@ -250,7 +251,8 @@ def edge_arrays(
     name: str, sf: float = 1.0
 ) -> tuple[list[int], list[int], list[int]]:
     """Column arrays ``(u, v, t)`` for TEL construction; cached because
-    every query on a dataset shares them (edge ids are positions)."""
+    every query on a dataset shares them (edge ids are positions), so no
+    caller may mutate them (``TEL.add_edge`` copies before appending)."""
     pdf = generate(name, sf=sf)
     return (pdf["u"].tolist(), pdf["v"].tolist(), pdf["t"].tolist())
 

@@ -17,9 +17,11 @@ previously collected result (edge-set identity).
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Sequence
 
 from ..core.records import CoreRecord, QueryResult, QueryStats
+from ..core.tcd import window_ids
 from .index import PHCIndex
 
 Edge = tuple[int, int, int]
@@ -36,17 +38,21 @@ def iphc_query(
 ) -> QueryResult:
     """Answer TCQ(G, k, [Ts, Te]) incrementally using a PHC-Index.
 
-    ``edges`` is the full temporal edge list with ids = positions, so
-    signatures are comparable with the TEL-based algorithms. The index
-    must cover anchors ``Ts..Te`` at this ``k`` (see ``build_phc_index``).
+    ``edges`` is the full temporal edge list under the input model of
+    :mod:`repro.core.tel` (sorted by ``t``, ids = positions), so
+    signatures are comparable with the TEL-based algorithms and the
+    window is cut by binary search, as for TCD and OTCD; self-loops are
+    ignored. The index must cover anchors ``Ts..Te`` at this ``k`` (see
+    ``build_phc_index``).
     """
     span = Te - Ts + 1
     res = QueryResult(stats=QueryStats(cells_total=span * (span + 1) // 2))
     seen: set[frozenset[int]] = set()
+    ids = window_ids(edges, Ts, Te, key=itemgetter(2))
     window = [
         (t, e, u, v)
-        for e, (u, v, t) in enumerate(edges)
-        if Ts <= t <= Te
+        for e, (u, v, t) in enumerate(edges[ids.start:ids.stop], ids.start)
+        if u != v
     ]
 
     for ts in range(Ts, Te + 1):

@@ -39,7 +39,8 @@ def build_phc_index(
 ) -> PHCIndex:
     """Core times for every anchor ``ts`` in ``rows`` (default
     ``[Ts, Te]``) at coreness ``k``; a vertex absent from ``index[ts]``
-    is never in the k-core within ``[ts, Te]``.
+    is never in the k-core within ``[ts, Te]``. ``edges`` is sorted by
+    ``t`` (the input model of :mod:`repro.core.tel`).
 
     This is the offline precomputation whose cost the paper's Figure 7
     excludes from baseline response time.

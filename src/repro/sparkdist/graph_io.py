@@ -15,8 +15,11 @@ EDGE_SCHEMA = "u long, v long, t long"
 
 
 def projected(edges: DataFrame, ts: int, te: int) -> DataFrame:
-    """The projected graph ``G_[ts,te]``: edges with ``t`` in the window."""
-    return edges.where((F.col("t") >= ts) & (F.col("t") <= te))
+    """The projected graph ``G_[ts,te]``: edges with ``t`` in the window,
+    self-loops dropped (degree counts distinct *other* vertices)."""
+    return edges.where(
+        (F.col("t") >= ts) & (F.col("t") <= te) & (F.col("u") != F.col("v"))
+    )
 
 
 def detemporalized(edges: DataFrame) -> DataFrame:

@@ -21,7 +21,9 @@ def build_phc_index_df(
     spark: SparkSession, edges: DataFrame, k: int, Ts: int, Te: int
 ) -> DataFrame:
     """Core time of every vertex for every anchor in ``[Ts, Te]``."""
-    window = projected(edges, Ts, Te).toPandas()
+    # build_phc_index takes time-sorted input (the input model); row order
+    # after a filter is not guaranteed.
+    window = projected(edges, Ts, Te).toPandas().sort_values("t", kind="stable")
     bc = spark.sparkContext.broadcast(
         (window["u"].tolist(), window["v"].tolist(), window["t"].tolist())
     )

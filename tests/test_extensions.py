@@ -36,7 +36,7 @@ class TestLinkStrength:
         assert not otcd_query(tel, 2, 1, 2, min_strength=2).cores
 
     def test_strength_keeps_reinforced_triangle(self):
-        edges = [(1, 2, 1), (1, 2, 2), (2, 3, 1), (2, 3, 2), (1, 3, 1), (1, 3, 2)]
+        edges = [(1, 2, 1), (2, 3, 1), (1, 3, 1), (1, 2, 2), (2, 3, 2), (1, 3, 2)]
         res = otcd_query(tel_of(edges), 2, 1, 2, min_strength=2,
                          materialize=True)
         assert len(res.cores) >= 1

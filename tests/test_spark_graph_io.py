@@ -27,7 +27,16 @@ def test_projected(graph, window):
     ts, te = window
     assert_equivalent(
         projected(df, ts, te),
-        f"SELECT u, v, t FROM edges WHERE t BETWEEN {ts} AND {te}",
+        f"SELECT u, v, t FROM edges WHERE t BETWEEN {ts} AND {te} AND u <> v",
+        edges=pdf,
+    )
+
+
+def test_projected_drops_self_loops(spark):
+    pdf = edges_pdf([(1, 1, 1), (1, 2, 1), (2, 2, 2), (2, 3, 2), (3, 3, 9)])
+    assert_equivalent(
+        projected(spark.createDataFrame(pdf), 1, 2),
+        "SELECT u, v, t FROM edges WHERE t BETWEEN 1 AND 2 AND u <> v",
         edges=pdf,
     )
 

@@ -1,13 +1,14 @@
 """Distributed TCQ and PHC-Index build vs the driver-side algorithms."""
 import pytest
 
+from repro.core import reference as ref
 from repro.core.otcd import otcd_query
 from repro.phc.baseline import iphc_query
 from repro.phc.index import build_phc_index
 from repro.sparkdist.phc import build_phc_index_df, collect_index
 from repro.sparkdist.tcq import distributed_tcq_pdf
 
-from .util import bursty_temporal_graph, edges_pdf, tel_of
+from .util import SELF_LOOP_GRAPHS, bursty_temporal_graph, edges_pdf, tel_of
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -45,6 +46,20 @@ def test_distributed_tcq_empty(spark):
     edges = [(1, 2, 1), (2, 3, 2)]
     got = distributed_tcq_pdf(spark, spark.createDataFrame(edges_pdf(edges)), 2, 1, 2)
     assert got.empty
+
+
+@pytest.mark.parametrize("gi", range(len(SELF_LOOP_GRAPHS)))
+@pytest.mark.parametrize("k", [1, 2])
+def test_distributed_tcq_ignores_self_loops(spark, gi, k):
+    """Spark agrees with the driver and the reference on self-loops."""
+    edges = SELF_LOOP_GRAPHS[gi]
+    Ts, Te = 1, edges[-1][2]
+    want = otcd_query(tel_of(edges, Ts, Te), k, Ts, Te)
+    assert want.ttis() == set(ref.distinct_cores(edges, k, Ts, Te).values())
+    got = distributed_tcq_pdf(spark, spark.createDataFrame(edges_pdf(edges)), k, Ts, Te)
+    assert set(zip(got["tti_s"], got["tti_e"], got["n_vertices"], got["n_edges"])) == {
+        (*c.tti, c.n_vertices, c.n_edges) for c in want.cores
+    }
 
 
 def test_distributed_phc_index_matches_driver(spark):

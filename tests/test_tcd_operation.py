@@ -82,12 +82,8 @@ def test_parallel_edges_do_not_fake_degree():
 def test_result_is_maximal():
     """No vertex outside the core could have been kept (reference
     double-check on a handcrafted mixed graph)."""
-    edges = [
-        # triangle core
-        (1, 2, 5), (2, 3, 5), (1, 3, 6),
-        # pendant chain that must peel
-        (3, 4, 5), (4, 5, 6),
-    ]
+    # Triangle core {1, 2, 3} plus the pendant chain 3-4-5 that must peel.
+    edges = [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 3, 6), (4, 5, 6)]
     tel = tel_of(edges)
     tcd_operation(tel, 2, 5, 6)
     assert tel.vertices() == {1, 2, 3}

@@ -1,0 +1,175 @@
+"""The input model (time-sorted edge arrays, ids = positions, self-loops
+ignored, shared arrays never mutated) and the binary-search window cut
+built on it."""
+import math
+from collections.abc import Sequence
+from operator import itemgetter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import reference as ref
+from repro.core.extensions import requery_after_append
+from repro.core.otcd import otcd_query, tcd_query
+from repro.core.tcd import tcd_operation, window_tel
+from repro.core.tel import TEL
+from repro.datasets.temporal import DATASETS, edge_arrays, generate_pdf
+from repro.phc.baseline import iphc_query
+from repro.phc.index import build_phc_index
+
+from .util import SELF_LOOP_GRAPHS, tel_of
+
+sorted_edges_st = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 9)).filter(
+        lambda e: e[0] != e[1]
+    ),
+    max_size=40,
+).map(lambda es: sorted(es, key=itemgetter(2)))
+
+
+def arrays_of(edges):
+    return tuple(list(x) for x in zip(*edges)) if edges else ([], [], [])
+
+
+@settings(max_examples=80, deadline=None)
+@given(edges=sorted_edges_st, ts=st.integers(0, 10), te=st.integers(0, 10))
+def test_window_equals_scan(edges, ts, te):
+    us, vs, tts = arrays_of(edges)
+    tel = window_tel(us, vs, tts, ts, te)
+    assert tel.alive == {e for e, t in enumerate(tts) if ts <= t <= te}
+
+
+FIELDS = [f for f in TEL.__slots__ if f not in ("heap", "owns_arrays")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=sorted_edges_st,
+    k=st.integers(0, 3),
+    ts=st.integers(1, 9),
+    te=st.integers(1, 9),
+)
+def test_copy_equals_rebuild(edges, k, ts, te):
+    """After any TCD operation, ``copy()`` equals a rebuild over the alive
+    edges field by field; its heap holds exactly the live degrees."""
+    us, vs, tts = arrays_of(edges)
+    tel = TEL(us, vs, tts)
+    tcd_operation(tel, k, min(ts, te), max(ts, te))
+    cp = tel.copy()
+    rebuilt = TEL(us, vs, tts, eids=tel.alive)
+    for f in FIELDS:
+        assert getattr(cp, f) == getattr(rebuilt, f), f
+    assert sorted(cp.heap._heap) == sorted(rebuilt.heap._heap)
+    assert cp.heap._deg is cp.deg
+
+
+class CountingTimes(Sequence):
+    """``edge_t = [i // 10 for i in range(n)]`` that counts item reads."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.reads = 0
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        self.reads += 1
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        return i // 10
+
+
+@pytest.mark.parametrize("ts, te", [(0, 0), (5_000, 5_099), (99_990, 99_999), (50, 40)])
+def test_window_reads_window_plus_log(ts, te):
+    n = 10**6
+    times = CountingTimes(n)
+    tel = window_tel(range(n), range(1, n + 1), times, ts, te)
+    w = len(tel.alive)
+    assert w == max(0, te - ts + 1) * 10
+    assert times.reads <= w + 4 * math.log2(n)
+
+
+def test_out_of_order_cut_raises():
+    us, vs = [1, 2, 3], [2, 3, 4]
+    with pytest.raises(ValueError, match="sorted"):
+        window_tel(us, vs, [5, 1, 2], 1, 2)
+    edges = [(1, 2, 5), (2, 3, 1), (3, 4, 2)]
+    with pytest.raises(ValueError, match="sorted"):
+        iphc_query(edges, {}, 2, 1, 2)
+
+
+def test_append_leaves_shared_arrays_alone():
+    """``add_edge`` on a window TEL copies the cached dataset arrays
+    instead of growing them, so later windows cut from them stay right."""
+    sf = 0.1
+    us, vs, ts = edge_arrays("collegemsg", sf)
+    before = (list(us), list(vs), list(ts))
+    T0, t_last = ts[-100], ts[-1]
+    tel = window_tel(us, vs, ts, T0, t_last)
+    new = [(0, 1, t_last + 1), (1, 2, t_last + 1)]
+    requery_after_append(tel, new, 2, T0, t_last + 1)
+    assert len(tel.edge_u) == len(before[0]) + 2
+    assert edge_arrays("collegemsg", sf) == before
+
+    pdf = generate_pdf(DATASETS["collegemsg"].scaled(sf))
+    fresh = pdf["u"].tolist(), pdf["v"].tolist(), pdf["t"].tolist()
+    Ts, Te = ts[len(ts) // 2], ts[len(ts) // 2] + 200
+    got = otcd_query(window_tel(us, vs, ts, Ts, Te), 2, Ts, Te)
+    want = otcd_query(window_tel(*fresh, Ts, Te), 2, Ts, Te)
+    assert got.keys() == want.keys()
+
+
+def test_copy_then_append_keeps_both_apart():
+    tel = TEL.from_edges([(1, 2, 1), (2, 3, 1), (1, 3, 2)])
+    tel.add_edge(3, 4, 3)
+    cp = tel.copy()
+    tel.add_edge(4, 5, 4)
+    cp.add_edge(4, 1, 5)
+    assert len(tel.edge_t) == len(cp.edge_t) == 5
+    assert tel.edges()[-1] == (4, 5, 4) and (4, 5, 4) not in cp.edges()
+    assert (4, 1, 5) in cp.edges() and (4, 1, 5) not in tel.edges()
+
+
+def check_driver_implementations(edges, k):
+    """Reference, TCD, OTCD and iPHC agree, and all ignore self-loops."""
+    Ts, Te = edges[0][2], edges[-1][2]
+    want = set(ref.distinct_cores(edges, k, Ts, Te))
+    loop_free = ref.distinct_cores([e for e in edges if e[0] != e[1]], k, Ts, Te)
+    assert want == set(loop_free)
+    tel = tel_of(edges, Ts, Te)
+    for res in (
+        tcd_query(tel, k, Ts, Te, materialize=True),
+        otcd_query(tel, k, Ts, Te, materialize=True),
+        iphc_query(edges, build_phc_index(edges, k, Ts, Te), k, Ts, Te, materialize=True),
+    ):
+        assert {c.edges for c in res.cores} == want
+        assert all(c.n_edges == len(c.edges) for c in res.cores)
+
+
+@pytest.mark.parametrize("gi", range(len(SELF_LOOP_GRAPHS)))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_self_loops_ignored_by_driver_implementations(gi, k):
+    check_driver_implementations(SELF_LOOP_GRAPHS[gi], k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 5)),
+        min_size=1,
+        max_size=25,
+    ).map(lambda es: sorted(es, key=itemgetter(2))),
+    k=st.integers(1, 3),
+)
+def test_random_self_loops_ignored_by_driver_implementations(edges, k):
+    check_driver_implementations(edges, k)
+
+
+def test_self_loop_append_takes_id_but_not_indexed():
+    tel = tel_of(SELF_LOOP_GRAPHS[1])
+    e = tel.add_edge(5, 5, 4)
+    assert e == len(SELF_LOOP_GRAPHS[1])
+    assert e not in tel.alive and 5 not in tel.deg
+    assert tel.get_tti() == (1, 3)

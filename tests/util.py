@@ -1,8 +1,13 @@
 """Shared helpers for the test suite: small deterministic graphs and
-conversions between edge-list and TEL/Spark representations."""
+conversions between edge-list and TEL/Spark representations.
+
+Every generator returns its edges sorted by time (stable), the input
+model of :mod:`repro.core.tel`, so an edge's id is its position in the
+list for every implementation alike."""
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
 import pandas as pd
 
@@ -15,7 +20,8 @@ Edge = tuple[int, int, int]
 def random_temporal_graph(
     seed: int, n_vertices: int = 10, n_edges: int = 40, n_ticks: int = 8
 ) -> list[Edge]:
-    """A random temporal multigraph without self-loops (may be empty)."""
+    """A random temporal multigraph without self-loops (may be empty),
+    sorted by time."""
     rng = random.Random(seed)
     out = []
     for _ in range(n_edges):
@@ -24,7 +30,7 @@ def random_temporal_graph(
         if u == v:
             v = (v + 1) % n_vertices
         out.append((u, v, rng.randint(1, n_ticks)))
-    return out
+    return sorted(out, key=itemgetter(2))
 
 
 def bursty_temporal_graph(
@@ -36,8 +42,8 @@ def bursty_temporal_graph(
     burst_edges: int = 40,
     burst_window: tuple[int, int] = (8, 11),
 ) -> list[Edge]:
-    """Background noise plus one dense burst — guarantees temporal
-    k-cores with a tight TTI inside ``burst_window``."""
+    """Background noise plus one dense burst, sorted by time —
+    guarantees temporal k-cores with a tight TTI inside ``burst_window``."""
     rng = random.Random(seed)
     edges = random_temporal_graph(seed + 1, n_vertices, n_background, n_ticks)
     members = rng.sample(range(n_vertices), burst_members)
@@ -45,12 +51,24 @@ def bursty_temporal_graph(
     for _ in range(burst_edges):
         u, v = rng.sample(members, 2)
         edges.append((u, v, rng.randint(lo, hi)))
-    return edges
+    return sorted(edges, key=itemgetter(2))
+
+
+# Self-loops, which every implementation ignores: degree counts distinct
+# *other* vertices.
+SELF_LOOP_GRAPHS = [
+    [(0, 1, 1), (0, 0, 1), (1, 1, 1)],
+    # A triangle with a self-loop on core vertex 2 and on a pendant vertex.
+    [(1, 2, 1), (2, 2, 1), (2, 3, 2), (1, 3, 2), (3, 4, 3), (4, 4, 3)],
+]
 
 
 def tel_of(edges: list[Edge], ts: int | None = None, te: int | None = None) -> TEL:
-    """TEL over ``edges`` (optionally pre-truncated), edge ids = positions."""
+    """TEL over time-sorted ``edges`` (optionally pre-truncated), edge
+    ids = positions."""
     us, vs, tts = (list(x) for x in zip(*edges))
+    if tts != sorted(tts):
+        raise ValueError("test edges must be sorted by time")
     if ts is None:
         ts = min(tts)
     if te is None:
