@@ -2,11 +2,10 @@
 from .otcd import IntervalSet, otcd_query, tcd_query
 from .records import CoreRecord, QueryResult, QueryStats
 from .tcd import tcd_operation, window_tel
-from .tel import TEL, DegreeHeap
+from .tel import TEL
 
 __all__ = [
     "TEL",
-    "DegreeHeap",
     "CoreRecord",
     "QueryResult",
     "QueryStats",

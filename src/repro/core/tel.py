@@ -1,80 +1,92 @@
 """Temporal Edge List (TEL) — the paper's in-memory temporal-graph structure.
 
 A TEL (paper §5.1, Figure 5) organises the temporal edges of a graph in
-three dimensions, each supporting O(1) manipulation:
+three dimensions, each supporting O(1) manipulation: the **TL** (edges
+by timestamp), the **SL/DL** (edges by endpoint) and the timeline of
+non-empty timestamps whose two ends are the TTI. Because edge ids are
+time-sorted (the input model below), all three are flat arrays here.
 
-* **TL (Time List)** — edges grouped by timestamp; the non-empty
-  timestamps are threaded on a doubly-linked *timeline* in ascending
-  order, so ``get_TTI`` is a head/tail read and truncation walks the
-  timeline from either end.
-* **SL (Source List) / DL (Destination List)** — per-vertex adjacency:
-  the edges whose source (resp. destination) is ``v``.
+**Shared index.** ``TEL(...)`` builds one immutable :class:`_Index` per
+window with NumPy; ``copy()`` shares it. Local *positions* ``0..n-1``
+number the window's edges in id order. Per edge (4-byte ints unless
+noted): its timestamp index ``tix``, its vertex-pair id ``pair`` (-1 for
+a self-loop) and two CSR incidence entries ``inc`` (the SL/DL), 16 B in
+all; the global id of a position is ``ids[pos]``, a ``range`` for a
+window (0 B). Per distinct timestamp: its value ``tvals`` (8 B) and the
+first position ``tstart`` (4 B); per pair its dense endpoints ``pu/pv``;
+per vertex its label ``labels`` (8 B) and ``inc_ptr``.
 
-On top of the paper's structure we maintain, per vertex, a multiplicity
-counter of *distinct neighbours* (temporal k-core degrees count neighbour
-vertices, not parallel edges) and a lazy min-heap ``H_v`` over those
-degrees, which Algorithm 4 uses to pop sub-``k`` vertices.
-
-All mutating operations keep the invariant that a timestamp node exists
-on the timeline iff its TL is non-empty, so the TTI of the represented
-(sub)graph is always ``(head.t, tail.t)``.
+**Per-copy state.** A TEL owns only flat counters, so ``copy()`` is a
+few memcpys: ``alive`` (1 B per edge), alive edges per timestamp
+``tcount``, parallel edges per alive pair ``mult`` and distinct alive
+neighbours per vertex ``deg`` (4 B each), plus head/tail timestamp
+indices that only move inwards: ``get_tti`` skips empty timestamps
+lazily, O(1) amortised. Peeling uses a *below-k worklist*: every vertex
+whose degree drops below the TEL's threshold ``k`` is pushed once.
 
 **Input model.** A temporal graph is three parallel edge arrays
-``edge_u/edge_v/edge_t`` sorted by ``t`` (non-decreasing, ties in arrival
-order), and an edge's id is its position. Sortedness makes every window
-``G_[ts,te]`` a contiguous id range that :func:`repro.core.tcd.window_ids`
-cuts by binary search. Self-loops ``(v, v, t)`` keep their id but never
-join a TEL: degree counts distinct *other* vertices. Arrays handed to a
-TEL are shared, never mutated: a TEL copies them into lists of its own
-before its first :meth:`TEL.add_edge`.
+``edge_u/edge_v/edge_t`` of integers sorted by ``t`` (non-decreasing,
+ties in arrival order), and an edge's id is its position. Sortedness
+makes every window ``G_[ts,te]`` a contiguous id range that
+:func:`repro.core.tcd.window_ids` cuts by binary search and a truncation
+one position range. ``TEL(...)`` raises ``ValueError`` on non-integer
+values or ids that are not time-sorted. Self-loops ``(v, v, t)`` keep
+their id but never join a TEL: degree counts distinct *other* vertices.
+Arrays and the index handed to a TEL are shared, never mutated: a TEL
+copies both before its first :meth:`TEL.add_edge`.
 """
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Iterator, Sequence
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import compress
+from typing import Iterable, Sequence
+
+import numpy as np
+import pandas as pd
 
 
-class DegreeHeap:
-    """Lazy min-heap of ``(degree, vertex)`` entries (the paper's H_v).
+def _column(seq: Sequence, ids, what: str) -> np.ndarray:
+    """``seq`` at ``ids`` as int64, reading only those entries."""
+    if isinstance(ids, range) and ids.step == 1 and isinstance(
+        seq, (list, tuple, range, np.ndarray)
+    ):
+        part = seq if (ids.start, ids.stop) == (0, len(seq)) else seq[ids.start:ids.stop]
+    else:
+        part = list(map(seq.__getitem__, ids))
+    a = np.asarray(part)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers (got dtype {a.dtype})")
+    return a.astype(np.int64, copy=False)
 
-    Degree decreases push fresh entries; stale entries are discarded at
-    pop time by comparing against the live degree map. This gives the
-    O(log |V|) amortised maintenance the paper's complexity analysis
-    assumes without intrusive heap surgery.
-    """
 
-    __slots__ = ("_heap", "_deg")
+def _run_starts(s: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``s`` that differ from their predecessor."""
+    first = np.empty(len(s), bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return first
 
-    def __init__(self, degrees: dict) -> None:
-        self._deg = degrees
-        self._heap = [(d, v) for v, d in degrees.items()]
-        heapq.heapify(self._heap)
 
-    def push(self, vertex) -> None:
-        """Re-register ``vertex`` after its degree changed."""
-        heapq.heappush(self._heap, (self._deg[vertex], vertex))
+def _mv(a: np.ndarray, dtype=np.int32) -> memoryview:
+    """Read-only view whose items index as Python ints."""
+    return memoryview(np.ascontiguousarray(a, dtype=dtype)).toreadonly()
 
-    def peek_degree(self):
-        """Smallest live degree, or ``None`` if no vertices remain."""
-        h = self._heap
-        while h:
-            d, v = h[0]
-            live = self._deg.get(v)
-            if live is None or live != d:
-                heapq.heappop(h)
-                continue
-            return d
-        return None
 
-    def pop(self):
-        """Pop the vertex with the smallest live degree (or ``None``)."""
-        h = self._heap
-        while h:
-            d, v = heapq.heappop(h)
-            live = self._deg.get(v)
-            if live is not None and live == d:
-                return v
-        return None
+def _counts(a: np.ndarray) -> array:
+    return array("i", a.astype(np.int32).tobytes())
+
+
+class _Index:
+    """The immutable per-window arrays every copy of a TEL shares (see the
+    module docstring); ``vid``, ``pid`` and ``xinc`` exist only in a TEL's
+    private index after :meth:`TEL.add_edge` (label -> vertex, vertex
+    pair -> pair id, incidence of appended edges)."""
+
+    __slots__ = (
+        "ids", "tvals", "tstart", "tix", "pair", "pu", "pv",
+        "inc_ptr", "inc", "labels", "vid", "pid", "xinc",
+    )
 
 
 class TEL:
@@ -83,15 +95,15 @@ class TEL:
     Edge ids index into the ``edge_u/edge_v/edge_t`` arrays shared by
     every TEL derived from the same base graph, so edge-set signatures
     are comparable across copies and across processes that rebuilt the
-    arrays deterministically. ``eids`` selects the edges to index (any
-    order; :func:`repro.core.tcd.window_tel` passes a window's id range);
+    arrays deterministically. ``eids`` selects the edges to index
+    (:func:`repro.core.tcd.window_tel` passes a window's id range);
     self-loops among them are skipped.
     """
 
     __slots__ = (
-        "edge_u", "edge_v", "edge_t", "owns_arrays",
-        "alive", "tl", "next_t", "prev_t", "head_t", "tail_t",
-        "sl", "dl", "nbr", "deg", "heap", "n_edges",
+        "edge_u", "edge_v", "edge_t", "owns", "ix",
+        "alive", "tcount", "mult", "deg", "head", "tail",
+        "n_edges", "nv", "k", "worklist",
     )
 
     def __init__(
@@ -101,53 +113,95 @@ class TEL:
         edge_t: Sequence[int],
         eids: Iterable[int] | None = None,
     ) -> None:
-        self.edge_u = edge_u
-        self.edge_v = edge_v
-        self.edge_t = edge_t
-        self.owns_arrays = False
+        self.edge_u, self.edge_v, self.edge_t = edge_u, edge_v, edge_t
+        self.owns = False
         if eids is None:
             eids = range(len(edge_u))
-        # TL: timestamp -> set of edge ids; timeline threaded via dicts.
-        tl: dict[int, set[int]] = {}
-        sl: dict[int, set[int]] = {}
-        dl: dict[int, set[int]] = {}
-        nbr: dict[int, dict[int, int]] = {}
-        alive: set[int] = set()
-        for e in eids:
-            u, v, t = edge_u[e], edge_v[e], edge_t[e]
-            if u == v:
-                continue
-            alive.add(e)
-            tl.setdefault(t, set()).add(e)
-            sl.setdefault(u, set()).add(e)
-            dl.setdefault(v, set()).add(e)
-            cu = nbr.setdefault(u, {})
-            cu[v] = cu.get(v, 0) + 1
-            cv = nbr.setdefault(v, {})
-            cv[u] = cv.get(u, 0) + 1
-        self.alive = alive
-        self.tl = tl
-        ts_sorted = sorted(tl)
-        self.next_t = {}
-        self.prev_t = {}
-        for a, b in zip(ts_sorted, ts_sorted[1:]):
-            self.next_t[a] = b
-            self.prev_t[b] = a
-        self.head_t = ts_sorted[0] if ts_sorted else None
-        self.tail_t = ts_sorted[-1] if ts_sorted else None
-        self.sl = sl
-        self.dl = dl
-        self.nbr = nbr
-        self.deg = {v: len(c) for v, c in nbr.items()}
-        self.heap = DegreeHeap(self.deg)
-        self.n_edges = len(alive)
+        elif not isinstance(eids, range):
+            eids = sorted(eids)
+        ix = self.ix = _Index()
+        ix.ids = eids if isinstance(eids, range) else _mv(eids, np.int64)
+        ix.vid = ix.pid = ix.xinc = None
+
+        # TL: timestamps and their position ranges.
+        t = _column(edge_t, eids, "timestamps")
+        n = len(t)
+        if n > 1 and (t[1:] < t[:-1]).any():
+            raise ValueError(
+                "edge ids are not sorted by time; the input model requires "
+                "time-sorted edge arrays (edge id = position)"
+            )
+        first = _run_starts(t)
+        tstart = np.flatnonzero(first)
+        ix.tvals = _mv(t[tstart], np.int64)
+        ix.tstart = _mv(np.append(tstart, n))
+        tix = np.cumsum(first, dtype=np.int32)
+        tix -= 1
+        ix.tix = _mv(tix)
+        del t, first, tstart
+
+        # Dense vertex ids in label order over the non-loop edges. The same
+        # stable sort of the endpoints gives the SL/DL: a CSR incidence
+        # listing each vertex's edges in position order.
+        u = _column(edge_u, eids, "vertex ids")
+        v = _column(edge_v, eids, "vertex ids")
+        keep = u != v
+        loops = not keep.all()
+        if loops:
+            u, v, tix = u[keep], v[keep], tix[keep]
+        m = len(u)
+        both = np.concatenate((u, v))
+        del u, v
+        order = np.argsort(both, kind="stable")
+        both = both[order]
+        first = _run_starts(both)
+        ix.labels = _mv(both[first], np.int64)
+        del both
+        starts = np.flatnonzero(first)
+        nv = len(starts)
+        ix.inc_ptr = _mv(np.append(starts, 2 * m))
+        ends = np.empty(2 * m, np.int32)
+        ends[order] = np.cumsum(first, dtype=np.int32) - 1
+        del first, starts
+        np.remainder(order, max(m, 1), out=order)
+        if loops:
+            order = np.flatnonzero(keep)[order]
+        ix.inc = _mv(order)
+        del order
+
+        # Vertex pairs: dense ids of the distinct endpoint pairs.
+        du, dv = ends[:m], ends[m:]
+        key = np.minimum(du, dv).astype(np.int64)
+        key *= nv
+        key += np.maximum(du, dv)
+        del ends, du, dv
+        pid, pkeys = pd.factorize(key)
+        del key
+        pu, pv = np.divmod(pkeys, max(nv, 1))
+        ix.pu, ix.pv = _mv(pu), _mv(pv)
+        if loops:
+            pair = np.full(n, -1, np.int32)
+            pair[keep] = pid
+            ix.pair = _mv(pair)
+        else:
+            ix.pair = _mv(pid)
+
+        self.alive = bytearray(keep) if loops else bytearray(b"\x01") * n
+        self.tcount = _counts(np.bincount(tix, minlength=len(ix.tvals)))
+        self.mult = _counts(np.bincount(pid, minlength=len(pkeys)))
+        self.deg = _counts(np.bincount(np.concatenate((pu, pv)), minlength=nv))
+        self.head, self.tail = 0, len(ix.tvals) - 1
+        self.n_edges = m
+        self.nv = nv
+        self.k = 0
+        self.worklist: list[int] = []
 
     # -- factories ---------------------------------------------------------
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int, int]]) -> "TEL":
-        """Build a TEL from an iterable of ``(u, v, t)`` triples
-        (edge id = position in ``edges``)."""
+        """Build a TEL from time-sorted ``(u, v, t)`` triples (edge id =
+        position in ``edges``)."""
         us, vs, ts = [], [], []
         for u, v, t in edges:
             us.append(u)
@@ -156,143 +210,207 @@ class TEL:
         return cls(us, vs, ts)
 
     def copy(self) -> "TEL":
-        """An independent TEL over the currently-alive edges.
-
-        Equal field by field to ``TEL(edge_u, edge_v, edge_t,
-        eids=self.alive)`` but copies the containers (C-level set and
-        dict copies, a re-heapified ``H_v``) instead of re-inserting
-        every edge. Used by (O)TCD to start each anchor row from
-        ``T^k_[ts, Te]`` without disturbing the row-start chain instance
-        (paper §5.2 keeps exactly these two instances in memory).
-        """
+        """An independent TEL over the currently-alive edges: shares the
+        index, copies the per-copy counters. Used by (O)TCD to start each
+        anchor row from ``T^k_[ts, Te]`` without disturbing the row-start
+        chain instance (paper §5.2 keeps exactly these two in memory)."""
         cp = TEL.__new__(TEL)
         cp.edge_u, cp.edge_v, cp.edge_t = self.edge_u, self.edge_v, self.edge_t
-        # Both TELs now share the arrays, so either copies before appending.
-        self.owns_arrays = cp.owns_arrays = False
-        cp.alive = self.alive.copy()
-        cp.tl = {t: b.copy() for t, b in self.tl.items()}
-        cp.next_t = self.next_t.copy()
-        cp.prev_t = self.prev_t.copy()
-        cp.head_t, cp.tail_t = self.head_t, self.tail_t
-        cp.sl = {v: s.copy() for v, s in self.sl.items()}
-        cp.dl = {v: s.copy() for v, s in self.dl.items()}
-        cp.nbr = {v: c.copy() for v, c in self.nbr.items()}
-        cp.deg = self.deg.copy()
-        cp.heap = DegreeHeap(cp.deg)
-        cp.n_edges = self.n_edges
+        # Both TELs now share arrays and index, so either copies before appending.
+        self.owns = cp.owns = False
+        cp.ix = self.ix
+        cp.alive = self.alive[:]
+        cp.tcount = self.tcount[:]
+        cp.mult = self.mult[:]
+        cp.deg = self.deg[:]
+        cp.head, cp.tail = self.head, self.tail
+        cp.n_edges, cp.nv = self.n_edges, self.nv
+        cp.k = self.k
+        cp.worklist = self.worklist[:]
         return cp
 
-    # -- O(1) manipulations (paper Table 1) --------------------------------
+    # -- manipulations (paper Table 1) -------------------------------------
 
     def get_tti(self) -> tuple[int, int] | None:
-        """Timestamps of the timeline's head and tail (``None`` if empty)."""
-        if self.head_t is None:
+        """Timestamps of the first and last non-empty TL (``None`` if empty)."""
+        if not self.n_edges:
             return None
-        return (self.head_t, self.tail_t)
+        tcount = self.tcount
+        h, t = self.head, self.tail
+        while not tcount[h]:
+            h += 1
+        while not tcount[t]:
+            t -= 1
+        self.head, self.tail = h, t
+        tvals = self.ix.tvals
+        return (tvals[h], tvals[t])
 
-    def _del_tl_node(self, t: int) -> None:
-        """Unlink timestamp ``t`` from the timeline (its TL must be empty)."""
-        nxt = self.next_t.pop(t, None)
-        prv = self.prev_t.pop(t, None)
-        if prv is not None:
-            if nxt is not None:
-                self.next_t[prv] = nxt
-            else:
-                self.next_t.pop(prv, None)
-        if nxt is not None:
-            if prv is not None:
-                self.prev_t[nxt] = prv
-            else:
-                self.prev_t.pop(nxt, None)
-        if self.head_t == t:
-            self.head_t = nxt
-        if self.tail_t == t:
-            self.tail_t = prv
-        del self.tl[t]
+    def _drop(self, positions: Iterable[int]) -> None:
+        """Delete the alive edges among ``positions``: update ``tcount``,
+        pair multiplicities and degrees, and push every vertex whose degree
+        falls below ``k`` on the worklist."""
+        alive, tcount, mult, deg = self.alive, self.tcount, self.mult, self.deg
+        ix = self.ix
+        tix, pair, pu, pv = ix.tix, ix.pair, ix.pu, ix.pv
+        below = self.k - 1
+        wl = self.worklist
+        n = gone = 0
+        for i in positions:
+            if alive[i]:
+                alive[i] = 0
+                n += 1
+                tcount[tix[i]] -= 1
+                p = pair[i]
+                m = mult[p] - 1
+                mult[p] = m
+                if not m:  # last parallel edge: the two stop being neighbours
+                    for a in (pu[p], pv[p]):
+                        d = deg[a] - 1
+                        deg[a] = d
+                        if d == below:
+                            wl.append(a)
+                        elif not d:
+                            gone += 1
+        self.n_edges -= n
+        self.nv -= gone
 
-    def del_edge(self, e: int, *, from_tl: bool = True) -> None:
-        """Delete edge ``e``; update TL/SL/DL, degrees and the heap.
+    def del_edge(self, e: int) -> None:
+        """Delete the edge with global id ``e`` (no-op if not alive)."""
+        ids = self.ix.ids
+        i = bisect_left(ids, e)
+        if i < len(ids) and ids[i] == e:
+            self._drop((i,))
 
-        ``from_tl=False`` skips the TL removal when the caller is
-        consuming an entire TL bucket itself (truncation fast path).
-        Empty TLs are unlinked immediately so the TTI invariant holds.
-        """
-        u, v, t = self.edge_u[e], self.edge_v[e], self.edge_t[e]
-        self.alive.discard(e)
-        self.n_edges -= 1
-        if from_tl:
-            bucket = self.tl[t]
-            bucket.discard(e)
-            if not bucket:
-                self._del_tl_node(t)
-        s = self.sl.get(u)
-        if s is not None:
-            s.discard(e)
-            if not s:
-                del self.sl[u]
-        d = self.dl.get(v)
-        if d is not None:
-            d.discard(e)
-            if not d:
-                del self.dl[v]
-        for a, b in ((u, v), (v, u)):
-            c = self.nbr[a]
-            m = c[b] - 1
-            if m:
-                c[b] = m
-            else:
-                del c[b]
-                if c:
-                    self.deg[a] = len(c)
-                    self.heap.push(a)
-                else:
-                    del self.nbr[a]
-                    del self.deg[a]
+    def truncate(self, ts: int, te: int) -> None:
+        """Delete the edges outside ``[ts, te]``: two position ranges."""
+        ix = self.ix
+        tvals, tstart, alive = ix.tvals, ix.tstart, self.alive
+        h, t = self.head, self.tail
+        h1 = bisect_left(tvals, ts, h, t + 1)
+        if h1 > h:
+            a, b = tstart[h], tstart[h1]
+            self._drop(compress(range(a, b), alive[a:b]))
+            self.head = h = h1
+        t1 = bisect_right(tvals, te, h, t + 1) - 1
+        if t1 < t:
+            a, b = tstart[t1 + 1], tstart[t + 1]
+            self._drop(compress(range(a, b), alive[a:b]))
+            self.tail = t1
+
+    def drop_weak_pairs(self, min_strength: int) -> None:
+        """Delete every pair with fewer than ``min_strength`` alive edges.
+        Multiplicities only fall, so one pass over the alive edges finds
+        them all."""
+        mult, pair = self.mult, self.ix.pair
+        self._drop([
+            i for i in compress(range(len(self.alive)), self.alive)
+            if mult[pair[i]] < min_strength
+        ])
+
+    def peel(self, k: int) -> None:
+        """Delete every vertex with fewer than ``k`` distinct neighbours,
+        repeatedly (the k-core). The worklist holds every vertex whose
+        degree fell below the threshold ``self.k``; a higher ``k`` rescans
+        the degrees, and ``k <= 1`` has nothing to peel and keeps the
+        worklist for the next call."""
+        if k <= 1:
+            return
+        deg = self.deg
+        if k > self.k:
+            self.worklist = [v for v, d in enumerate(deg) if 0 < d < k]
+        self.k = k
+        ix = self.ix
+        inc, ptr, xinc = ix.inc, ix.inc_ptr, ix.xinc
+        wl = self.worklist
+        while wl:
+            v = wl.pop()
+            if 0 < deg[v] < k:
+                self._drop(inc[ptr[v]:ptr[v + 1]])
+                if xinc and v in xinc:
+                    self._drop(xinc[v])
+
+    def _own(self) -> None:
+        """Copy the shared edge arrays and index into ones this TEL owns and
+        may append to (the first :meth:`add_edge`)."""
+        self.edge_u = list(self.edge_u)
+        self.edge_v = list(self.edge_v)
+        self.edge_t = list(self.edge_t)
+        old, ix = self.ix, _Index()
+        for f, code in (
+            ("ids", "q"), ("tvals", "q"), ("tstart", "i"), ("tix", "i"),
+            ("pair", "i"), ("pu", "i"), ("pv", "i"), ("inc_ptr", "i"),
+            ("inc", "i"), ("labels", "q"),
+        ):
+            setattr(ix, f, array(code, getattr(old, f)))
+        ix.vid = {x: d for d, x in enumerate(ix.labels)}
+        ix.pid = {(a, b): p for p, (a, b) in enumerate(zip(ix.pu, ix.pv))}
+        ix.xinc = {v: list(es) for v, es in (old.xinc or {}).items()}
+        self.ix = ix
+        self.owns = True
 
     def add_edge(self, u: int, v: int, t: int) -> int:
         """Dynamic-graph append (paper §6.1): ``t`` must be >= every
-        existing timestamp (new events arrive in time order). Returns
-        the new edge's id, the next position of the edge arrays. O(1),
-        except that the first append to shared arrays copies them into
-        lists this TEL owns. A self-loop takes an id but is not indexed.
+        timestamp indexed so far (new events arrive in time order).
+        Returns the new edge's id, the next position of the edge arrays.
+        O(1) amortised: the first append copies the shared arrays and
+        index (O(|E|)), later ones append to them. A self-loop takes an
+        id but is not indexed.
         """
-        if self.tail_t is not None and t < self.tail_t:
+        ix = self.ix
+        if len(ix.tvals) and t < ix.tvals[-1]:
             raise ValueError(
                 f"add_edge requires non-decreasing timestamps "
-                f"(got {t} < tail {self.tail_t})"
+                f"(got {t} < last {ix.tvals[-1]})"
             )
-        if not self.owns_arrays:
-            self.edge_u = list(self.edge_u)
-            self.edge_v = list(self.edge_v)
-            self.edge_t = list(self.edge_t)
-            self.owns_arrays = True
+        if not self.owns:
+            self._own()
+            ix = self.ix
         e = len(self.edge_u)
         self.edge_u.append(u)
         self.edge_v.append(v)
         self.edge_t.append(t)
         if u == v:
             return e
-        self.alive.add(e)
-        self.n_edges += 1
-        if t in self.tl:
-            self.tl[t].add(e)
+        i = len(self.alive)
+        ix.ids.append(e)
+        if not len(ix.tvals) or t > ix.tvals[-1]:  # a new TL: i starts it
+            ix.tvals.append(t)
+            ix.tstart.append(i + 1)
+            self.tcount.append(0)
         else:
-            self.tl[t] = {e}
-            if self.tail_t is None:
-                self.head_t = self.tail_t = t
-            else:
-                self.next_t[self.tail_t] = t
-                self.prev_t[t] = self.tail_t
-                self.tail_t = t
-        self.sl.setdefault(u, set()).add(e)
-        self.dl.setdefault(v, set()).add(e)
-        for a, b in ((u, v), (v, u)):
-            c = self.nbr.setdefault(a, {})
-            had = b in c
-            c[b] = c.get(b, 0) + 1
-            if not had:
-                self.deg[a] = len(c)
-                self.heap.push(a)
+            ix.tstart[-1] = i + 1
+        h = len(ix.tvals) - 1
+        ix.tix.append(h)
+        self.tcount[h] += 1
+        self.head, self.tail = min(self.head, h), h
+        ends = []
+        for x in (u, v):
+            d = ix.vid.get(x)
+            if d is None:
+                d = ix.vid[x] = len(ix.labels)
+                ix.labels.append(x)
+                ix.inc_ptr.append(ix.inc_ptr[-1])
+                self.deg.append(0)
+            ix.xinc.setdefault(d, []).append(i)
+            ends.append(d)
+        key = (min(ends), max(ends))
+        p = ix.pid.get(key)
+        if p is None:
+            p = ix.pid[key] = len(ix.pu)
+            ix.pu.append(key[0])
+            ix.pv.append(key[1])
+            self.mult.append(0)
+        ix.pair.append(p)
+        self.alive.append(1)
+        self.n_edges += 1
+        self.mult[p] += 1
+        if self.mult[p] == 1:  # a new neighbour pair
+            for d in ends:
+                self.deg[d] += 1
+                if self.deg[d] == 1:
+                    self.nv += 1
+                if self.deg[d] < self.k:
+                    self.worklist.append(d)
         return e
 
     # -- derived views -----------------------------------------------------
@@ -302,31 +420,26 @@ class TEL:
 
     def vertices(self) -> set[int]:
         """Vertices with at least one incident alive edge."""
-        return set(self.deg)
+        return set(compress(self.ix.labels, self.deg))
 
     def n_vertices(self) -> int:
-        return len(self.deg)
+        return self.nv
+
+    def degrees(self) -> dict[int, int]:
+        """Distinct alive neighbours of every vertex in :meth:`vertices`."""
+        return {x: d for x, d in zip(self.ix.labels, self.deg) if d}
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Alive edges as sorted ``(u, v, t)`` triples (for materialising
         query results; not used on algorithm hot paths)."""
         eu, ev, et = self.edge_u, self.edge_v, self.edge_t
-        return sorted((eu[e], ev[e], et[e]) for e in self.alive)
+        return sorted((eu[e], ev[e], et[e]) for e in compress(self.ix.ids, self.alive))
 
     def signature(self) -> frozenset[int]:
-        """Edge-set identity of the represented subgraph."""
-        return frozenset(self.alive)
-
-    def incident_edges(self, v: int) -> Iterator[int]:
-        """All alive edges touching ``v`` (its SL then DL)."""
-        yield from list(self.sl.get(v, ()))
-        yield from list(self.dl.get(v, ()))
+        """Edge-set identity of the represented subgraph: alive edge ids."""
+        return frozenset(compress(self.ix.ids, self.alive))
 
     def timestamps(self) -> list[int]:
-        """Timeline timestamps in ascending order (walks the links)."""
-        out = []
-        t = self.head_t
-        while t is not None:
-            out.append(t)
-            t = self.next_t.get(t)
-        return out
+        """Timestamps with at least one alive edge, ascending."""
+        h, t = self.head, self.tail + 1
+        return list(compress(self.ix.tvals[h:t], self.tcount[h:t]))

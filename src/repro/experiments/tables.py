@@ -120,7 +120,7 @@ def table4(*, sf: float = 1.0, qids: tuple[int, ...] = (1, 6, 11, 16)) -> pd.Dat
 def table5(*, sf: float = 1.0) -> pd.DataFrame:
     """Memory consumption of (O)TCD per dataset (paper Table 5): the
     allocation peak of building TEL(G), which dominates the process
-    footprint (paper §7.2)."""
+    footprint (paper §7.2), in MB and in bytes per edge."""
     paper_gb = {
         "collegemsg": 0.02, "mathoverflow": 0.06, "youtube": 1.7,
         "dblp": 3.1, "flickr": 3.5, "stackoverflow": 6.5,
@@ -136,7 +136,8 @@ def table5(*, sf: float = 1.0) -> pd.DataFrame:
         rows.append(
             {
                 "Dataset": name,
-                "TEL peak (MB)": round(peak / 2**20, 1),
+                "TEL peak (MB)": round(peak / 2**20, 3),
+                "B/edge": round(peak / max(1, tel.n_edges), 1),
                 "|E|": tel.n_edges,
                 "paper process mem (GB)": paper_gb[name],
             }

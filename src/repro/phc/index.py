@@ -49,8 +49,13 @@ def build_phc_index(
     us, vs, tts = zip(*edges) if edges else ((), (), ())
     index: PHCIndex = {ts: {} for ts in range(lo, hi + 1)}
     window = window_tel(us, vs, tts, Ts, Te)
+    row = n = members = None
     for ts, te, core in sweep(window, k, Ts, Te, rows=rows, prune=False):
+        # A row's core only loses vertices as te descends, so an unchanged
+        # vertex count means an unchanged vertex set.
+        if (ts, core.n_vertices()) != (row, n):
+            row, n, members = ts, core.n_vertices(), core.vertices()
         ct = index[ts]
-        for v in core.deg:
+        for v in members:
             ct[v] = te
     return index

@@ -41,7 +41,11 @@ def distributed_tcq(
     induces the core (matching the driver OTCD's reporting).
     """
     check_query(k, Ts, Te)
-    core0 = temporal_kcore_df(edges, k, Ts, Te).toPandas()
+    # Each anchor task builds a TEL, which takes time-sorted input (the
+    # input model); row order after the peel is not guaranteed.
+    core0 = temporal_kcore_df(edges, k, Ts, Te).toPandas().sort_values(
+        "t", kind="stable"
+    )
     if core0.empty:
         return spark.createDataFrame(
             [], "tti_s long, tti_e long, n_vertices long, n_edges long, "

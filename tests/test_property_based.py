@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core import reference as ref
 from repro.core.otcd import otcd_query, tcd_query
 from repro.core.tcd import tcd_operation
+from repro.core.tel import TEL
 
 from .util import tel_of
 
@@ -33,7 +34,7 @@ def test_tel_build_invariants(edges):
         nbrs = {b for a, b, _ in edges if a == v} | {
             a for a, b, _ in edges if b == v
         }
-        assert tel.deg[v] == len(nbrs)
+        assert tel.degrees()[v] == len(nbrs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -78,3 +79,85 @@ def test_otcd_ttis_are_unique_and_tight(edges, k):
         tmin = min(t for _, _, t in c.edges)
         tmax = max(t for _, _, t in c.edges)
         assert c.tti == (tmin, tmax)
+
+
+op_st = st.one_of(
+    # (op, handle, ...): a TCD operation, a copy, or an append.
+    st.tuples(
+        st.just("tcd"),
+        st.integers(0, 3),
+        st.sampled_from([0, 1, 2, 2, 2, 3, 9]),  # 9 > any degree (8 vertices)
+        st.integers(0, 2),  # ts - first alive tick
+        st.integers(-1, 2),  # last alive tick - te; -1 reaches past it
+        st.integers(1, 2),
+        st.sampled_from([False, True, True]),  # truncate by a k=0 call first
+    ),
+    st.tuples(st.just("copy"), st.integers(0, 3)),
+    st.tuples(
+        st.just("add"), st.integers(0, 3), st.integers(0, 7), st.integers(0, 7),
+        st.integers(0, 1),
+    ),
+)
+
+
+def check_views(tel, model):
+    """``tel`` represents exactly the multigraph ``model`` (edge triples)."""
+    assert tel.edges() == sorted(model)
+    assert tel.n_edges == len(model)
+    nbrs = {}
+    for u, v, _ in model:
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
+    assert tel.degrees() == {x: len(s) for x, s in nbrs.items()}
+    assert tel.vertices() == set(nbrs) and tel.n_vertices() == len(nbrs)
+    times = sorted({t for _, _, t in model})
+    assert tel.timestamps() == times
+    assert tel.get_tti() == ((times[0], times[-1]) if times else None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 6)),
+        min_size=8,
+        max_size=40,
+    ).map(lambda es: sorted(es, key=itemgetter(2))),
+    ops=st.lists(op_st, min_size=4, max_size=20),
+)
+def test_operation_sequences_match_reference(edges, ops):
+    """Any sequence of TCD operations (``k`` = 0, rising, falling, above
+    every degree; single-tick windows; link strength; each optionally
+    preceded by a truncating ``k=0`` call), ``copy()`` and
+    ``add_edge`` (parallel edges, self-loops) on TELs sharing one index
+    matches ``reference.temporal_kcore`` applied to each TEL's graph: no
+    call sequence drops a peel candidate or leaks state between copies."""
+    arrays = tuple(list(x) for x in zip(*edges)) if edges else ([], [], [])
+    us, vs, ts = (list(a) for a in arrays)
+    tel = TEL(us, vs, ts)
+    last_t = ts[-1] if ts else 1
+    handles = [[tel, [e for e in edges if e[0] != e[1]], last_t]]
+    for op, i, *args in ops:
+        h = handles[i % len(handles)]
+        tel, model, last_t = h
+        if op == "tcd":
+            # Windows shrink the TEL's TTI, as the sweep's operations do;
+            # they may end up empty or a single tick.
+            k, a, b, sigma, split = args
+            lo, hi = tel.get_tti() or (1, 1)
+            lo, hi = lo + a, hi - b
+            if split:
+                tcd_operation(tel, 0, lo, hi)
+            tcd_operation(tel, k, lo, hi, min_strength=sigma)
+            h[1] = ref.temporal_kcore(model, k, lo, hi, min_strength=sigma)
+        elif op == "copy":
+            handles.append([tel.copy(), list(model), last_t])
+        else:
+            u, v, dt = args
+            e = tel.add_edge(u, v, last_t + dt)
+            assert e == len(tel.edge_u) - 1
+            h[2] = last_t + dt
+            if u != v:
+                model.append((u, v, last_t + dt))
+        for other, m, _ in handles:
+            check_views(other, m)
+    assert (us, vs, ts) == arrays  # appends never grow shared arrays

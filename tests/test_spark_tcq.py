@@ -48,6 +48,23 @@ def test_distributed_tcq_empty(spark):
     assert got.empty
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_distributed_tcq_on_reverse_time_order(spark, seed):
+    """A frame whose rows run backwards in time: the broadcast core is
+    sorted by time before the anchor tasks build their TELs."""
+    edges = bursty_temporal_graph(seed, n_ticks=16, burst_window=(6, 9))
+    k, Ts, Te = 2, 1, 16
+    want = otcd_query(tel_of(edges, Ts, Te), k, Ts, Te)
+    frame = spark.createDataFrame(edges_pdf(edges[::-1])).coalesce(1)
+    got = distributed_tcq_pdf(spark, frame, k, Ts, Te)
+    assert set(zip(got["tti_s"], got["tti_e"], got["n_vertices"], got["n_edges"])) == {
+        (*c.tti, c.n_vertices, c.n_edges) for c in want.cores
+    }
+    assert {(c.tti, c.ts) for c in want.cores} == set(
+        zip(zip(got["tti_s"], got["tti_e"]), got["first_ts"])
+    )
+
+
 @pytest.mark.parametrize("gi", range(len(SELF_LOOP_GRAPHS)))
 @pytest.mark.parametrize("k", [1, 2])
 def test_distributed_tcq_ignores_self_loops(spark, gi, k):

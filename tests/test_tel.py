@@ -1,7 +1,8 @@
 """Unit tests for the TEL data structure (paper §5.1, Table 1)."""
 import pytest
 
-from repro.core.tel import TEL, DegreeHeap
+from repro.core.tcd import tcd_operation
+from repro.core.tel import TEL
 
 from .util import random_temporal_graph, tel_of
 
@@ -26,10 +27,8 @@ class TestConstruction:
 
     def test_degrees_count_distinct_neighbours(self):
         # Parallel edges must not inflate the degree.
-        tel = TEL.from_edges([(1, 2, 1), (1, 2, 2), (1, 2, 3), (1, 3, 1)])
-        assert tel.deg[1] == 2
-        assert tel.deg[2] == 1
-        assert tel.deg[3] == 1
+        tel = TEL.from_edges([(1, 2, 1), (1, 3, 1), (1, 2, 2), (1, 2, 3)])
+        assert tel.degrees() == {1: 2, 2: 1, 3: 1}
 
     def test_empty(self):
         tel = TEL([], [], [])
@@ -44,7 +43,7 @@ class TestConstruction:
     @pytest.mark.parametrize("seed", range(10))
     def test_n_edges_matches_alive(self, seed):
         tel = tel_of(random_temporal_graph(seed))
-        assert tel.n_edges == len(tel.alive)
+        assert tel.n_edges == len(tel.signature())
         assert tel.n_edges == len(tel.edges())
 
 
@@ -59,18 +58,18 @@ class TestDelEdge:
 
     def test_del_edge_degree_decrease(self):
         tel = simple_tel()
-        assert tel.deg[3] == 3
+        assert tel.degrees()[3] == 3
         tel.del_edge(3)
-        assert tel.deg[3] == 2
+        assert tel.degrees()[3] == 2
 
     def test_parallel_edge_del_keeps_degree(self):
-        tel = TEL.from_edges([(1, 2, 1), (1, 2, 2), (1, 3, 1), (2, 3, 1)])
-        tel.del_edge(1)  # one of the two parallel (1,2) edges
-        assert tel.deg[1] == 2 and tel.deg[2] == 2
+        tel = TEL.from_edges([(1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 2, 2)])
+        tel.del_edge(3)  # one of the two parallel (1,2) edges
+        assert tel.degrees()[1] == 2 and tel.degrees()[2] == 2
 
     def test_delete_all(self):
         tel = simple_tel()
-        for e in list(tel.alive):
+        for e in tel.signature():
             tel.del_edge(e)
         assert tel.is_empty()
         assert tel.get_tti() is None
@@ -83,17 +82,18 @@ class TestDelEdge:
 
         edges = random_temporal_graph(seed, n_edges=30)
         tel = tel_of(edges)
-        order = list(tel.alive)
+        order = sorted(tel.signature())
         random.Random(seed).shuffle(order)
         for e in order:
             tel.del_edge(e)
             # Invariants after every deletion:
-            assert tel.n_edges == len(tel.alive)
-            for t in tel.timestamps():
-                assert tel.tl[t], "timeline node with empty TL"
-            if tel.alive:
-                tmin = min(tel.edge_t[x] for x in tel.alive)
-                tmax = max(tel.edge_t[x] for x in tel.alive)
+            alive = tel.signature()
+            assert tel.n_edges == len(alive)
+            # Every listed timestamp has an alive edge, and vice versa.
+            assert tel.timestamps() == sorted({tel.edge_t[x] for x in alive})
+            if alive:
+                tmin = min(tel.edge_t[x] for x in alive)
+                tmax = max(tel.edge_t[x] for x in alive)
                 assert tel.get_tti() == (tmin, tmax)
             else:
                 assert tel.get_tti() is None
@@ -111,13 +111,13 @@ class TestAddEdge:
         tel = simple_tel()
         tel.add_edge(4, 1, 3)
         assert tel.get_tti() == (1, 3)
-        assert len(tel.tl[3]) == 2
+        assert [t for _, _, t in tel.edges()].count(3) == 2
 
     def test_append_into_empty(self):
         tel = TEL([], [], [])
         tel.add_edge(1, 2, 7)
         assert tel.get_tti() == (7, 7)
-        assert tel.deg == {1: 1, 2: 1}
+        assert tel.degrees() == {1: 1, 2: 1}
 
     def test_append_rejects_past_timestamps(self):
         tel = simple_tel()
@@ -127,8 +127,39 @@ class TestAddEdge:
     def test_append_updates_degree(self):
         tel = simple_tel()
         tel.add_edge(1, 4, 5)
-        assert tel.deg[1] == 3
-        assert tel.deg[4] == 2
+        assert tel.degrees()[1] == 3
+        assert tel.degrees()[4] == 2
+
+
+    def test_append_below_k_is_peeled(self):
+        """A vertex appended below the TEL's current ``k`` joins the
+        worklist, so the next operation at that ``k`` peels it."""
+        triangle = [(1, 2, 1), (2, 3, 1), (1, 3, 1)]
+        tel = TEL.from_edges(triangle)
+        tcd_operation(tel, 2, 1, 5)
+        tel.add_edge(3, 4, 2)
+        assert tel.vertices() == {1, 2, 3, 4}
+        tcd_operation(tel, 2, 1, 5)
+        assert tel.edges() == sorted(triangle)
+
+
+class TestPeelWorklist:
+    def test_truncation_at_k0_keeps_peel_candidates(self):
+        """A ``k=0`` call (truncation only) between two calls at ``k=2``
+        keeps the vertices it pushes below 2 for the next call."""
+        tel = TEL.from_edges([(1, 2, 1), (2, 3, 2), (1, 3, 2), (3, 4, 2), (4, 1, 3)])
+        tcd_operation(tel, 2, 1, 3)
+        assert tel.n_edges == 5
+        tcd_operation(tel, 0, 2, 3)  # drops (1, 2): 2 now has one neighbour
+        tcd_operation(tel, 2, 2, 3)
+        assert tel.edges() == [(1, 3, 2), (3, 4, 2), (4, 1, 3)]
+
+    def test_rising_k_rescans(self):
+        tel = TEL.from_edges([(1, 2, 1), (2, 3, 1), (1, 3, 1), (3, 4, 1), (4, 1, 1)])
+        tcd_operation(tel, 2, 1, 1)
+        assert tel.n_edges == 5
+        tcd_operation(tel, 3, 1, 1)
+        assert tel.is_empty()
 
 
 class TestCopy:
@@ -137,52 +168,21 @@ class TestCopy:
         cp = tel.copy()
         cp.del_edge(0)
         assert tel.n_edges == 4 and cp.n_edges == 3
-        assert tel.deg[1] == 2 and cp.deg[1] == 1
+        assert tel.degrees()[1] == 2 and cp.degrees()[1] == 1
 
     def test_copy_preserves_ids(self):
         tel = simple_tel()
         tel.del_edge(0)
         cp = tel.copy()
-        assert cp.alive == tel.alive
-        assert cp.signature() == tel.signature()
+        assert cp.signature() == tel.signature() == frozenset({1, 2, 3})
 
     @pytest.mark.parametrize("seed", range(5))
     def test_copy_equivalence_random(self, seed):
         tel = tel_of(random_temporal_graph(seed))
         cp = tel.copy()
         assert cp.edges() == tel.edges()
-        assert cp.deg == tel.deg
+        assert cp.degrees() == tel.degrees()
         assert cp.timestamps() == tel.timestamps()
-
-
-class TestDegreeHeap:
-    def test_peek_and_pop_order(self):
-        deg = {10: 3, 20: 1, 30: 2}
-        h = DegreeHeap(deg)
-        assert h.peek_degree() == 1
-        assert h.pop() == 20
-        del deg[20]
-        assert h.pop() == 30
-        del deg[30]
-        assert h.pop() == 10
-
-    def test_stale_entries_skipped(self):
-        deg = {1: 5, 2: 4}
-        h = DegreeHeap(deg)
-        deg[1] = 1  # degree decreased
-        h.push(1)
-        assert h.pop() == 1
-
-    def test_empty(self):
-        h = DegreeHeap({})
-        assert h.peek_degree() is None
-        assert h.pop() is None
-
-    def test_deleted_vertex_skipped(self):
-        deg = {1: 1, 2: 2}
-        h = DegreeHeap(deg)
-        del deg[1]
-        assert h.pop() == 2
 
 
 class TestWindowTel:
@@ -194,4 +194,4 @@ class TestWindowTel:
     def test_window_keeps_global_ids(self):
         edges = [(1, 2, 1), (2, 3, 5), (1, 3, 9)]
         tel = tel_of(edges, 2, 8)
-        assert tel.alive == {1}
+        assert tel.signature() == {1}

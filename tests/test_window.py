@@ -37,10 +37,11 @@ def arrays_of(edges):
 def test_window_equals_scan(edges, ts, te):
     us, vs, tts = arrays_of(edges)
     tel = window_tel(us, vs, tts, ts, te)
-    assert tel.alive == {e for e, t in enumerate(tts) if ts <= t <= te}
+    assert tel.signature() == {e for e, t in enumerate(tts) if ts <= t <= te}
 
 
-FIELDS = [f for f in TEL.__slots__ if f not in ("heap", "owns_arrays")]
+VIEWS = ("signature", "edges", "vertices", "degrees", "timestamps", "get_tti",
+         "n_vertices", "is_empty")
 
 
 @settings(max_examples=60, deadline=None)
@@ -49,19 +50,23 @@ FIELDS = [f for f in TEL.__slots__ if f not in ("heap", "owns_arrays")]
     k=st.integers(0, 3),
     ts=st.integers(1, 9),
     te=st.integers(1, 9),
+    k2=st.integers(0, 4),
 )
-def test_copy_equals_rebuild(edges, k, ts, te):
+def test_copy_equals_rebuild(edges, k, ts, te, k2):
     """After any TCD operation, ``copy()`` equals a rebuild over the alive
-    edges field by field; its heap holds exactly the live degrees."""
+    edges in every public view, and both answer a further operation alike
+    (the copy's worklist loses no peel candidate)."""
     us, vs, tts = arrays_of(edges)
     tel = TEL(us, vs, tts)
     tcd_operation(tel, k, min(ts, te), max(ts, te))
     cp = tel.copy()
-    rebuilt = TEL(us, vs, tts, eids=tel.alive)
-    for f in FIELDS:
-        assert getattr(cp, f) == getattr(rebuilt, f), f
-    assert sorted(cp.heap._heap) == sorted(rebuilt.heap._heap)
-    assert cp.heap._deg is cp.deg
+    rebuilt = TEL(us, vs, tts, eids=tel.signature())
+    for f in VIEWS:
+        assert getattr(cp, f)() == getattr(rebuilt, f)(), f
+    assert cp.n_edges == rebuilt.n_edges
+    for x in (cp, rebuilt):
+        tcd_operation(x, k2, min(ts, te), max(ts, te))
+    assert cp.edges() == rebuilt.edges()
 
 
 class CountingTimes(Sequence):
@@ -86,7 +91,7 @@ def test_window_reads_window_plus_log(ts, te):
     n = 10**6
     times = CountingTimes(n)
     tel = window_tel(range(n), range(1, n + 1), times, ts, te)
-    w = len(tel.alive)
+    w = tel.n_edges
     assert w == max(0, te - ts + 1) * 10
     assert times.reads <= w + 4 * math.log2(n)
 
@@ -98,6 +103,37 @@ def test_out_of_order_cut_raises():
     edges = [(1, 2, 5), (2, 3, 1), (3, 4, 2)]
     with pytest.raises(ValueError, match="sorted"):
         iphc_query(edges, {}, 2, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "us, vs, ts, eids",
+    [
+        ([1, 2, 3], [2, 3, 4], [5, 1, 2], None),
+        ([1, 2, 3], [2, 3, 4], [1, 2, 2], [2, 0, 1]),  # any id order is fine
+        ([1, 2, 3], [2, 3, 4], [1, 3, 2], [0, 2]),
+        ([1, 2, 3], [2, 3, 4], [1, 3, 2], [1, 2]),
+    ],
+)
+def test_tel_checks_time_order(us, vs, ts, eids):
+    ids = sorted(eids if eids is not None else range(len(ts)))
+    if all(ts[a] <= ts[b] for a, b in zip(ids, ids[1:])):
+        assert TEL(us, vs, ts, eids=eids).signature() == set(ids)
+    else:
+        with pytest.raises(ValueError, match="sorted"):
+            TEL(us, vs, ts, eids=eids)
+
+
+@pytest.mark.parametrize("ts", [[1, 2.5], [1.0, 2.0], [1, "2"], [None, 1], [True, True]])
+def test_tel_rejects_non_integer_timestamps(ts):
+    with pytest.raises(ValueError, match="integers"):
+        TEL([1, 2], [2, 3], ts)
+    with pytest.raises(ValueError, match="integers"):
+        TEL.from_edges([(1, 2, ts[0]), (2, 3, ts[1])])
+
+
+def test_tel_rejects_unsorted_edge_list():
+    with pytest.raises(ValueError, match="sorted"):
+        TEL.from_edges([(1, 2, 2), (2, 3, 1)])
 
 
 def test_append_leaves_shared_arrays_alone():
@@ -171,5 +207,5 @@ def test_self_loop_append_takes_id_but_not_indexed():
     tel = tel_of(SELF_LOOP_GRAPHS[1])
     e = tel.add_edge(5, 5, 4)
     assert e == len(SELF_LOOP_GRAPHS[1])
-    assert e not in tel.alive and 5 not in tel.deg
+    assert e not in tel.signature() and 5 not in tel.vertices()
     assert tel.get_tti() == (1, 3)
