@@ -1,5 +1,5 @@
 """Distributed-path benchmarks at SF=0.1: the Catalyst peeling loop and
-the full fan-out TCQ (anchors via applyInPandas + distinct-by-TTI)."""
+the full fan-out TCQ (anchor blocks via mapInPandas + distinct-by-TTI)."""
 import pytest
 
 from repro.datasets.temporal import generate_spark

@@ -12,8 +12,7 @@ We build the index for the queried ``k`` and every anchor
 ``te`` descends, so the last ``te`` at which a vertex is still in the
 core is exactly its core time. Restricting construction to the
 query's ``k`` and range strictly *favours* the baseline relative to the
-paper's full offline index — documented in DESIGN.md. A Spark-parallel
-builder over anchors lives in ``repro.sparkdist.phc``.
+paper's full offline index — documented in DESIGN.md.
 """
 from __future__ import annotations
 
@@ -29,28 +28,20 @@ Edge = tuple[int, int, int]
 PHCIndex = dict[int, dict[int, int]]
 
 
-def build_phc_index(
-    edges: Sequence[Edge],
-    k: int,
-    Ts: int,
-    Te: int,
-    *,
-    rows: tuple[int, int] | None = None,
-) -> PHCIndex:
-    """Core times for every anchor ``ts`` in ``rows`` (default
-    ``[Ts, Te]``) at coreness ``k``; a vertex absent from ``index[ts]``
-    is never in the k-core within ``[ts, Te]``. ``edges`` is sorted by
-    ``t`` (the input model of :mod:`repro.core.tel`).
+def build_phc_index(edges: Sequence[Edge], k: int, Ts: int, Te: int) -> PHCIndex:
+    """Core times for every anchor ``ts`` in ``[Ts, Te]`` at coreness
+    ``k``; a vertex absent from ``index[ts]`` is never in the k-core
+    within ``[ts, Te]``. ``edges`` is sorted by ``t`` (the input model of
+    :mod:`repro.core.tel`).
 
     This is the offline precomputation whose cost the paper's Figure 7
     excludes from baseline response time.
     """
-    lo, hi = rows or (Ts, Te)
     us, vs, tts = zip(*edges) if edges else ((), (), ())
-    index: PHCIndex = {ts: {} for ts in range(lo, hi + 1)}
+    index: PHCIndex = {ts: {} for ts in range(Ts, Te + 1)}
     window = window_tel(us, vs, tts, Ts, Te)
     row = n = members = None
-    for ts, te, core in sweep(window, k, Ts, Te, rows=rows, prune=False):
+    for ts, te, core in sweep(window, k, Ts, Te, prune=False):
         # A row's core only loses vertices as te descends, so an unchanged
         # vertex count means an unchanged vertex set.
         if (ts, core.n_vertices()) != (row, n):

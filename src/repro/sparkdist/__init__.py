@@ -1,14 +1,6 @@
-"""Distributed (Catalyst / applyInPandas) implementations."""
-from .decomposition import coreness, peel, temporal_kcore_df
-from .graph_io import (
-    EDGE_SCHEMA,
-    degrees,
-    detemporalized,
-    graph_stats,
-    link_strength,
-    projected,
-)
-from .phc import build_phc_index_df, collect_index
+"""Distributed (Catalyst / mapInPandas) implementations."""
+from .decomposition import peel, temporal_kcore_df
+from .graph_io import EDGE_SCHEMA, degrees, detemporalized, graph_stats, projected
 from .tcq import distributed_tcq, distributed_tcq_pdf
 
 __all__ = [
@@ -16,13 +8,9 @@ __all__ = [
     "projected",
     "detemporalized",
     "degrees",
-    "link_strength",
     "graph_stats",
     "peel",
     "temporal_kcore_df",
-    "coreness",
     "distributed_tcq",
     "distributed_tcq_pdf",
-    "build_phc_index_df",
-    "collect_index",
 ]

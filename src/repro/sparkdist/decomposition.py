@@ -3,10 +3,10 @@
 The TCD *operation* (paper Algorithm 4) at cluster scale: truncation is
 a filter; decomposition repeatedly drops vertices whose distinct-
 neighbour degree is below ``k`` together with their incident edges,
-until a fixpoint. Each iteration is a handful of shuffles; lineage is
-truncated with ``localCheckpoint`` so the plan does not grow with the
-iteration count (a known requirement for iterative DataFrame graph
-algorithms).
+until a fixpoint. Each round computes degrees once (a handful of
+shuffles); lineage is truncated with ``localCheckpoint`` so the plan
+does not grow with the round count (a known requirement for iterative
+DataFrame graph algorithms).
 """
 from __future__ import annotations
 
@@ -16,56 +16,33 @@ from pyspark.sql import functions as F
 from .graph_io import degrees, projected
 
 
-def peel(edges: DataFrame, k: int, *, max_iter: int = 1_000_000) -> DataFrame:
+def peel(edges: DataFrame, k: int) -> DataFrame:
     """Edges of the k-core of the (already projected) temporal graph.
 
     Iteratively removes all vertices with degree < k at once (standard
     synchronous peeling — same fixpoint as the sequential algorithm).
-    Returns an empty DataFrame with the same schema if no k-core exists.
+    Each round checkpoints the vertices of degree < k, then tests them for
+    emptiness. A round that finds one deletes at least one of its edges,
+    so the loop ends. Returns an empty DataFrame with the same schema if
+    no k-core exists.
     """
     cur = edges.select("u", "v", "t").localCheckpoint(eager=True)
-    for _ in range(max_iter):
-        if cur.isEmpty():
-            return cur
-        bad = degrees(cur).where(F.col("deg") < k).select("vtx")
+    while True:
+        bad = (
+            degrees(cur).where(F.col("deg") < k).select("vtx")
+            .localCheckpoint(eager=True)
+        )
         if bad.isEmpty():
             return cur
-        bad = bad.localCheckpoint(eager=True)
         cur = (
             cur.join(bad.withColumnRenamed("vtx", "u"), "u", "left_anti")
             .join(bad.withColumnRenamed("vtx", "v"), "v", "left_anti")
             .select("u", "v", "t")
             .localCheckpoint(eager=True)
         )
-    raise RuntimeError("peel() did not converge")  # pragma: no cover
 
 
 def temporal_kcore_df(edges: DataFrame, k: int, ts: int, te: int) -> DataFrame:
     """Distributed TCD operation: ``T^k_[ts,te]`` as an edge DataFrame
     (truncation via :func:`projected`, then :func:`peel`)."""
     return peel(projected(edges, ts, te), k)
-
-
-def coreness(edges: DataFrame, ts: int, te: int, *, k_max: int = 64) -> DataFrame:
-    """Coreness of every vertex of ``G_[ts,te]`` as ``(vtx, coreness)``.
-
-    Straightforward layered peeling (k = 1, 2, ...): vertices present in
-    the k-core but not the (k+1)-core have coreness k. Used by tests to
-    validate the PHC-Index against an independent distributed compute.
-    """
-    spark = edges.sparkSession
-    window = projected(edges, ts, te).localCheckpoint(eager=True)
-    result = spark.createDataFrame([], "vtx long, coreness long")
-    prev = degrees(window).select("vtx")
-    cur_edges = window
-    for k in range(1, k_max + 1):
-        cur_edges = peel(cur_edges, k)
-        cur = degrees(cur_edges).select("vtx")
-        dropped = prev.join(cur, "vtx", "left_anti").withColumn(
-            "coreness", F.lit(k - 1).cast("long")
-        )
-        result = result.unionAll(dropped)
-        if cur_edges.isEmpty():
-            break
-        prev = cur
-    return result.localCheckpoint(eager=True)

@@ -43,19 +43,6 @@ def degrees(edges: DataFrame) -> DataFrame:
     return both.groupBy("vtx").agg(F.count("*").alias("deg"))
 
 
-def link_strength(edges: DataFrame) -> DataFrame:
-    """Parallel-edge count per unordered vertex pair (paper §6.2):
-    ``(a long, b long, strength long)``."""
-    return (
-        edges.select(
-            F.least("u", "v").alias("a"), F.greatest("u", "v").alias("b")
-        )
-        .where(F.col("a") != F.col("b"))
-        .groupBy("a", "b")
-        .agg(F.count("*").alias("strength"))
-    )
-
-
 def graph_stats(edges: DataFrame) -> dict:
     """Vertex/edge/timestamp summary used by the Table 2 harness."""
     row = edges.agg(

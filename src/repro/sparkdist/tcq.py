@@ -8,17 +8,21 @@ Strategy (DESIGN.md §2, "Layering decision"):
    "the distributed memory cluster like Spark" exactly for this working
    set; after this step the core is orders of magnitude smaller.
 2. The surviving core edges are broadcast; the anchor rows of the
-   subinterval schedule fan out as one ``applyInPandas`` task per
-   anchor. Each task rebuilds a TEL from the broadcast arrays and runs
-   the driver's OTCD over its single row (``otcd_query(..., rows=(ts,
-   ts))``); within one row only PoR skips cells, since PoU and PoL prune
-   later rows. Rows are independent by Theorem 1 (each row's start core
-   is induced directly from ``T^k_[Ts,Te]``).
-3. Cross-row duplicates (what PoU/PoL prune on a single machine) are
-   removed by a distinct-by-TTI aggregation, correct by TTI Equivalence
-   (Property 2).
+   subinterval schedule fan out as contiguous blocks, one per partition
+   of ``spark.range(Ts, Te + 1)``, through ``mapInPandas``. Each task
+   rebuilds a TEL from the broadcast arrays once and runs the driver's
+   OTCD over its block (``otcd_query(..., rows=(lo, hi))``), so PoR, PoU
+   and PoL all prune inside the block. Blocks are independent by
+   Theorem 1 (each row's start core is induced directly from
+   ``T^k_[Ts,Te]``); a block lacks only the pruning marks of earlier
+   rows, so it evaluates a superset of the driver's cells in its rows.
+3. Cross-block duplicates (what pruning across blocks would skip on a
+   single machine) are removed by a distinct-by-TTI aggregation,
+   correct by TTI Equivalence (Property 2).
 """
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -36,9 +40,11 @@ def distributed_tcq(
     spark: SparkSession, edges: DataFrame, k: int, Ts: int, Te: int
 ) -> DataFrame:
     """All distinct temporal k-cores of ``[Ts, Te]`` as a DataFrame
-    ``(tti_s, tti_e, n_vertices, n_edges, first_ts, first_te)`` where
-    ``first_ts/first_te`` is the schedule-order-first subinterval that
-    induces the core (matching the driver OTCD's reporting).
+    ``(tti_s, tti_e, n_vertices, n_edges, first_ts, first_te)``.
+    ``first_ts`` is the first anchor row that induces the core, as in the
+    driver OTCD; ``first_te`` is the column at which its block first found
+    the core in that row, which can be larger than the driver's when PoL
+    marks from earlier blocks made the driver skip columns.
     """
     check_query(k, Ts, Te)
     # Each anchor task builds a TEL, which takes time-sorted input (the
@@ -55,29 +61,31 @@ def distributed_tcq(
         (core0["u"].tolist(), core0["v"].tolist(), core0["t"].tolist())
     )
 
-    def anchor_row(pdf: pd.DataFrame) -> pd.DataFrame:
-        # One anchor row of the schedule per task (import inside the
+    def anchor_block(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        # One contiguous block of anchor rows per task (import inside the
         # task: executors deserialise this closure without the module).
         from repro.core.otcd import otcd_query
         from repro.core.tel import TEL
 
-        ts = int(pdf["ts"].iloc[0])
+        ids = [b["id"] for b in batches if len(b)]
+        if not ids:
+            return
+        lo, hi = int(ids[0].iat[0]), int(ids[-1].iat[-1])
         res = otcd_query(
-            TEL(*bc.value), k, Ts, Te, rows=(ts, ts), signatures=False
+            TEL(*bc.value), k, Ts, Te, rows=(lo, hi), signatures=False
         )
-        return pd.DataFrame(
+        yield pd.DataFrame(
             [(c.ts, c.te, *c.tti, c.n_vertices, c.n_edges) for c in res.cores],
             columns=["ts", "te", "tti_s", "tti_e", "n_vertices", "n_edges"],
         )
 
-    anchors = spark.range(Ts, Te + 1).withColumnRenamed("id", "ts")
-    per_row = anchors.groupBy("ts").applyInPandas(anchor_row, RESULT_SCHEMA)
+    per_block = spark.range(Ts, Te + 1).mapInPandas(anchor_block, RESULT_SCHEMA)
     # Distinct-by-TTI; a TTI uniquely identifies the core (Property 2),
     # so min over (ts, -te) reproduces schedule order (row-major with te
     # descending means the first inducer has the smallest ts, then the
     # largest te).
     return (
-        per_row.groupBy("tti_s", "tti_e")
+        per_block.groupBy("tti_s", "tti_e")
         .agg(
             F.first("n_vertices").alias("n_vertices"),
             F.first("n_edges").alias("n_edges"),

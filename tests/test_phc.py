@@ -36,13 +36,6 @@ class TestIndex:
                 nxt = index[ts + 1].get(v)
                 assert nxt is None or nxt >= ct
 
-    def test_anchor_function_matches_full_build(self):
-        edges = bursty_temporal_graph(1, n_ticks=10, burst_window=(4, 7))
-        index = build_phc_index(edges, 2, 1, 10)
-        for ts in (1, 4, 7):
-            one_row = build_phc_index(edges, 2, 1, 10, rows=(ts, ts))
-            assert one_row == {ts: index[ts]}
-
     def test_vertices_never_in_core_absent(self):
         edges = [(1, 2, 1), (2, 3, 2), (1, 3, 3), (3, 4, 3)]
         index = build_phc_index(edges, 2, 1, 3)

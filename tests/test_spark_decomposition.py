@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core import reference as ref
-from repro.sparkdist.decomposition import coreness, peel, temporal_kcore_df
+from repro.sparkdist.decomposition import peel, temporal_kcore_df
 
 from .util import bursty_temporal_graph, edges_pdf, random_temporal_graph
 
@@ -42,12 +42,3 @@ def test_peel_cascade(spark):
     got = collected(peel(as_df(spark, edges), 2))
     assert got == [(1, 2, 1), (1, 3, 1), (2, 3, 1)]
 
-
-def test_coreness_matches_reference(spark):
-    edges = bursty_temporal_graph(7, n_background=40, burst_members=5,
-                                  burst_edges=30)
-    got = {r["vtx"]: r["coreness"] for r in coreness(as_df(spark, edges), 1, 20).collect()}
-    verts = {u for u, _, _ in edges} | {v for _, v, _ in edges}
-    for v in verts:
-        want = ref.coreness_over_interval(edges, v, 1, 20)
-        assert got.get(v, 0) == want, f"vertex {v}"

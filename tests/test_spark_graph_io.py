@@ -7,7 +7,6 @@ from repro.sparkdist.graph_io import (
     degrees,
     detemporalized,
     graph_stats,
-    link_strength,
     projected,
 )
 
@@ -80,17 +79,6 @@ def test_degrees_ignore_parallel_edges(spark):
     df = spark.createDataFrame(pdf)
     got = {r["vtx"]: r["deg"] for r in degrees(df).collect()}
     assert got == {1: 1, 2: 2, 3: 1}
-
-
-def test_link_strength(graph):
-    df, pdf = graph
-    assert_equivalent(
-        link_strength(df),
-        """SELECT least(u, v) AS a, greatest(u, v) AS b,
-                  count(*) AS strength
-           FROM edges WHERE u <> v GROUP BY 1, 2""",
-        edges=pdf,
-    )
 
 
 def test_graph_stats(graph):

@@ -1,11 +1,8 @@
-"""Distributed TCQ and PHC-Index build vs the driver-side algorithms."""
+"""Distributed TCQ vs the driver-side OTCD."""
 import pytest
 
 from repro.core import reference as ref
 from repro.core.otcd import otcd_query
-from repro.phc.baseline import iphc_query
-from repro.phc.index import build_phc_index
-from repro.sparkdist.phc import build_phc_index_df, collect_index
 from repro.sparkdist.tcq import distributed_tcq_pdf
 
 from .util import SELF_LOOP_GRAPHS, bursty_temporal_graph, edges_pdf, tel_of
@@ -79,24 +76,24 @@ def test_distributed_tcq_ignores_self_loops(spark, gi, k):
     }
 
 
-def test_distributed_phc_index_matches_driver(spark):
-    edges = bursty_temporal_graph(4, n_ticks=12, burst_window=(5, 8))
-    k, Ts, Te = 2, 1, 12
-    want = build_phc_index(edges, k, Ts, Te)
-    got = collect_index(
-        build_phc_index_df(spark, spark.createDataFrame(edges_pdf(edges)), k, Ts, Te)
-    )
-    want = {ts: m for ts, m in want.items() if m}  # drop empty anchors
-    assert got == want
+SHORT_SPANS = [
+    ([(1, 2, 5), (2, 3, 5), (1, 3, 5)], 5, 5),
+    ([(1, 2, 1), (2, 3, 1), (1, 3, 2), (3, 4, 2), (2, 4, 3), (1, 4, 3)], 1, 3),
+    (bursty_temporal_graph(2, n_ticks=16, burst_window=(6, 9)), 7, 8),
+]
 
 
-def test_distributed_index_drives_baseline(spark):
-    """End-to-end: Spark-built index feeding iPHC-Query equals OTCD."""
-    edges = bursty_temporal_graph(5, n_ticks=12, burst_window=(4, 7))
-    k, Ts, Te = 2, 1, 12
-    index = collect_index(
-        build_phc_index_df(spark, spark.createDataFrame(edges_pdf(edges)), k, Ts, Te)
-    )
-    res_b = iphc_query(edges, index, k, Ts, Te)
-    res_o = otcd_query(tel_of(edges, Ts, Te), k, Ts, Te)
-    assert res_b.keys() == res_o.keys()
+@pytest.mark.parametrize(
+    "edges, Ts, Te", SHORT_SPANS, ids=["one-tick", "three-ticks", "window-7-8"]
+)
+def test_distributed_tcq_short_spans(spark, edges, Ts, Te):
+    """Spans with fewer anchor rows than ``spark.range`` has partitions:
+    the empty anchor blocks add nothing and the others match the driver."""
+    k = 2
+    want = otcd_query(tel_of(edges, Ts, Te), k, Ts, Te)
+    assert want.cores
+    got = distributed_tcq_pdf(spark, spark.createDataFrame(edges_pdf(edges)), k, Ts, Te)
+    cols = ["tti_s", "tti_e", "n_vertices", "n_edges", "first_ts"]
+    assert set(got[cols].itertuples(index=False, name=None)) == {
+        (*c.tti, c.n_vertices, c.n_edges, c.ts) for c in want.cores
+    }
