@@ -110,25 +110,34 @@ def _apply_pruning(
     pruned: dict[int, IntervalSet],
     stats: QueryStats,
     hi: int,
-) -> None:
+    pou_hw: int,
+) -> int:
     """Algorithm 3 on the trigger cell ``[ts, te]`` with TTI ``tti``;
-    rows after ``hi`` are not swept, so they are not marked."""
+    rows after ``hi`` are not swept, so they are not marked.
+
+    ``pou_hw`` is row ``ts``'s PoU high-water mark: rows ``ts+1..pou_hw``
+    already hold PoU marks ``[r, te_1]`` from an earlier trigger of this
+    row, and ``te`` only falls along a row, so ``[r, te]`` is inside
+    them. PoU marks only the rows above it; returns the new mark."""
     ts_p, te_p = tti
     if te_p < te:  # Rule 1: PoR — cells [ts, te-1] .. [ts, te'].
         stats.por_triggers += 1
         stats.por_pruned += pruned[ts].add(te_p, te - 1)
     if ts_p > ts:  # Rule 2: PoU — rows ts+1..ts', columns te .. r.
         stats.pou_triggers += 1
+        top = min(ts_p, hi)
         n = 0
-        for r in range(ts + 1, min(ts_p, hi) + 1):
+        for r in range(pou_hw + 1, top + 1):
             n += pruned[r].add(r, te)
         stats.pou_pruned += n
+        pou_hw = max(pou_hw, top)
     if ts_p > ts and te_p < te:  # Rule 3: PoL — rows ts'+1..te', cols te'+1..te.
         stats.pol_triggers += 1
         n = 0
         for r in range(ts_p + 1, min(te_p, hi) + 1):
             n += pruned[r].add(te_p + 1, te)
         stats.pol_pruned += n
+    return pou_hw
 
 
 def sweep(
@@ -169,6 +178,7 @@ def sweep(
         stats.rows_started += 1
         # The last row may consume the chain; the others sweep a copy.
         row = chain if ts == hi else chain.copy()
+        pou_hw = ts
         while te is not None and te >= ts:
             if te < Te:  # cell [ts, Te] was evaluated by the chain step
                 tcd_operation(row, k, ts, te, min_strength=min_strength)
@@ -179,7 +189,9 @@ def sweep(
                 break
             yield ts, te, row
             if prune:
-                _apply_pruning(ts, te, row.get_tti(), pruned, stats, hi)
+                pou_hw = _apply_pruning(
+                    ts, te, row.get_tti(), pruned, stats, hi, pou_hw
+                )
                 te = prow.next_uncovered_leq(te - 1, ts)
             else:
                 te -= 1

@@ -23,6 +23,9 @@ neighbours per vertex ``deg`` (4 B each), plus head/tail timestamp
 indices that only move inwards: ``get_tti`` skips empty timestamps
 lazily, O(1) amortised. Peeling uses a *below-k worklist*: every vertex
 whose degree drops below the TEL's threshold ``k`` is pushed once.
+``signature()`` and ``edges()`` read only the live position range
+``[tstart[head], tstart[tail + 1])``, so a core collected from a large
+window costs its TTI's positions, not the window's.
 
 **Input model.** A temporal graph is three parallel edge arrays
 ``edge_u/edge_v/edge_t`` of integers sorted by ``t`` (non-decreasing,
@@ -429,15 +432,23 @@ class TEL:
         """Distinct alive neighbours of every vertex in :meth:`vertices`."""
         return {x: d for x, d in zip(self.ix.labels, self.deg) if d}
 
+    def _alive_ids(self) -> Iterable[int]:
+        """Global ids of the alive edges, read from the live position range
+        ``[tstart[head], tstart[tail + 1])`` only (empty for an empty TEL)."""
+        if self.get_tti() is None:
+            return ()
+        a, b = self.ix.tstart[self.head], self.ix.tstart[self.tail + 1]
+        return compress(self.ix.ids[a:b], self.alive[a:b])
+
     def edges(self) -> list[tuple[int, int, int]]:
         """Alive edges as sorted ``(u, v, t)`` triples (for materialising
         query results; not used on algorithm hot paths)."""
         eu, ev, et = self.edge_u, self.edge_v, self.edge_t
-        return sorted((eu[e], ev[e], et[e]) for e in compress(self.ix.ids, self.alive))
+        return sorted((eu[e], ev[e], et[e]) for e in self._alive_ids())
 
     def signature(self) -> frozenset[int]:
         """Edge-set identity of the represented subgraph: alive edge ids."""
-        return frozenset(compress(self.ix.ids, self.alive))
+        return frozenset(self._alive_ids())
 
     def timestamps(self) -> list[int]:
         """Timestamps with at least one alive edge, ascending."""

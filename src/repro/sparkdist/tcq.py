@@ -29,7 +29,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..core.otcd import check_query
-from .decomposition import temporal_kcore_df
+from .decomposition import job_description, temporal_kcore_df
 
 RESULT_SCHEMA = (
     "ts long, te long, tti_s long, tti_e long, n_vertices long, n_edges long"
@@ -49,9 +49,10 @@ def distributed_tcq(
     check_query(k, Ts, Te)
     # Each anchor task builds a TEL, which takes time-sorted input (the
     # input model); row order after the peel is not guaranteed.
-    core0 = temporal_kcore_df(edges, k, Ts, Te).toPandas().sort_values(
-        "t", kind="stable"
-    )
+    with job_description(spark.sparkContext, "collect T^k"):
+        core0 = temporal_kcore_df(edges, k, Ts, Te).toPandas().sort_values(
+            "t", kind="stable"
+        )
     if core0.empty:
         return spark.createDataFrame(
             [], "tti_s long, tti_e long, n_vertices long, n_edges long, "
@@ -107,5 +108,7 @@ def distributed_tcq_pdf(
     spark: SparkSession, edges: DataFrame, k: int, Ts: int, Te: int
 ) -> pd.DataFrame:
     """:func:`distributed_tcq` collected and canonically sorted."""
-    pdf = distributed_tcq(spark, edges, k, Ts, Te).toPandas()
+    res = distributed_tcq(spark, edges, k, Ts, Te)
+    with job_description(spark.sparkContext, "anchor blocks + TTI dedupe"):
+        pdf = res.toPandas()
     return pdf.sort_values(["tti_s", "tti_e"]).reset_index(drop=True)

@@ -1,5 +1,6 @@
 """Hypothesis property tests: TEL invariants and algorithm agreement on
 arbitrary generated temporal multigraphs."""
+from itertools import compress
 from operator import itemgetter
 
 from hypothesis import given, settings
@@ -101,7 +102,13 @@ op_st = st.one_of(
 
 
 def check_views(tel, model):
-    """``tel`` represents exactly the multigraph ``model`` (edge triples)."""
+    """``tel`` represents exactly the multigraph ``model`` (edge triples),
+    and its views bounded by the live time range equal full scans."""
+    full = frozenset(compress(tel.ix.ids, tel.alive))
+    assert tel.signature() == full
+    assert tel.edges() == sorted(
+        (tel.edge_u[e], tel.edge_v[e], tel.edge_t[e]) for e in full
+    )
     assert tel.edges() == sorted(model)
     assert tel.n_edges == len(model)
     nbrs = {}
@@ -123,17 +130,24 @@ def check_views(tel, model):
         max_size=40,
     ).map(lambda es: sorted(es, key=itemgetter(2))),
     ops=st.lists(op_st, min_size=4, max_size=20),
+    dropped=st.none() | st.sets(st.integers(0, 39)),
 )
-def test_operation_sequences_match_reference(edges, ops):
+def test_operation_sequences_match_reference(edges, ops, dropped):
     """Any sequence of TCD operations (``k`` = 0, rising, falling, above
     every degree; single-tick windows; link strength; each optionally
     preceded by a truncating ``k=0`` call), ``copy()`` and
     ``add_edge`` (parallel edges, self-loops) on TELs sharing one index
     matches ``reference.temporal_kcore`` applied to each TEL's graph: no
-    call sequence drops a peel candidate or leaks state between copies."""
+    call sequence drops a peel candidate or leaks state between copies.
+    The TEL indexes every edge (``range`` ids) or, given ``dropped``, the
+    edges whose ids are not in it (a list of ids)."""
     arrays = tuple(list(x) for x in zip(*edges)) if edges else ([], [], [])
     us, vs, ts = (list(a) for a in arrays)
-    tel = TEL(us, vs, ts)
+    if dropped is None:
+        tel = TEL(us, vs, ts)
+    else:
+        tel = TEL(us, vs, ts, [i for i in range(len(us)) if i not in dropped])
+        edges = [e for i, e in enumerate(edges) if i not in dropped]
     last_t = ts[-1] if ts else 1
     handles = [[tel, [e for e in edges if e[0] != e[1]], last_t]]
     for op, i, *args in ops:

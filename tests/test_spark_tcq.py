@@ -1,5 +1,6 @@
 """Distributed TCQ vs the driver-side OTCD."""
 import pytest
+from pyspark.errors import AnalysisException
 
 from repro.core import reference as ref
 from repro.core.otcd import otcd_query
@@ -97,3 +98,36 @@ def test_distributed_tcq_short_spans(spark, edges, Ts, Te):
     assert set(got[cols].itertuples(index=False, name=None)) == {
         (*c.tti, c.n_vertices, c.n_edges, c.ts) for c in want.cores
     }
+
+
+@pytest.mark.parametrize("before", [None, "caller's label"])
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "error"])
+def test_job_descriptions_restored(spark, monkeypatch, before, fails):
+    """The query labels its Spark jobs (the peel rounds, the collect of
+    ``T^k``, the anchor fan-out) and leaves the caller's job description
+    as it found it, also when it raises."""
+    sc = spark.sparkContext
+    labels = []
+    set_description = sc.setJobDescription
+
+    def spy(value):
+        labels.append(value)
+        set_description(value)
+
+    sc.setJobDescription(before)
+    monkeypatch.setattr(sc, "setJobDescription", spy)
+    edges = spark.createDataFrame(edges_pdf(bursty_temporal_graph(0, n_ticks=12)))
+    if fails:
+        # The peel's first select cannot resolve ``t``: both open labels unwind.
+        with pytest.raises(AnalysisException):
+            distributed_tcq_pdf(spark, edges.drop("t"), 2, 1, 12)
+        assert labels == ["collect T^k", "peel round 0", "collect T^k", before]
+    else:
+        distributed_tcq_pdf(spark, edges, 2, 1, 12)
+        rounds = [x for x in labels if x and x.startswith("peel round ")]
+        assert rounds == [f"peel round {i}" for i in range(len(rounds))]
+        assert len(rounds) >= 2
+        assert labels[0] == "collect T^k"
+        assert "anchor blocks + TTI dedupe" in labels
+    assert labels[-1] == before
+    assert sc.getLocalProperty("spark.job.description") == before
