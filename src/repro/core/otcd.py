@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .records import CoreRecord, QueryResult, QueryStats
 from .tcd import tcd_operation
@@ -70,11 +70,6 @@ class IntervalSet:
             j += 1
         iv[i:j] = [(new_lo, new_hi)]
         return newly
-
-    def covers(self, x: int) -> bool:
-        iv = self._iv
-        i = bisect_left(iv, (x + 1, -1)) - 1
-        return i >= 0 and iv[i][0] <= x <= iv[i][1]
 
     def next_uncovered_leq(self, x: int, floor: int) -> int | None:
         """Largest ``c <= x`` with ``c >= floor`` not covered, else None."""
@@ -203,13 +198,11 @@ def check_query(k: int, Ts: int, Te: int) -> None:
         raise ValueError(f"TCQ needs k >= 1 and Ts <= Te; got k={k}, [{Ts}, {Te}]")
 
 
-def _collect(
-    tel: TEL, ts: int, te: int, *, materialize: bool, signatures: bool
-) -> CoreRecord:
-    # Signatures/edge lists copy O(|core|) per collected core — exact
-    # identities for tests and result export. Large scans (Table 6's
-    # full-span query collects tens of thousands of cores) disable them
-    # and rely on TTI identity (Property 2).
+def _collect(tel: TEL, ts: int, te: int, *, signatures: bool) -> CoreRecord:
+    # A signature copies O(|core|) per collected core — the exact
+    # identity tests compare, and the core's edges are ``edges[e]`` for
+    # its ids. Large scans (Table 6's full-span query collects tens of
+    # thousands of cores) disable it and rely on TTI identity (Property 2).
     return CoreRecord(
         ts=ts,
         te=te,
@@ -217,7 +210,6 @@ def _collect(
         n_vertices=tel.n_vertices(),
         n_edges=tel.n_edges,
         signature=tel.signature() if signatures else frozenset(),
-        edges=tuple(tel.edges()) if materialize else None,
     )
 
 
@@ -229,7 +221,6 @@ def otcd_query(
     *,
     rows: tuple[int, int] | None = None,
     prune: bool = True,
-    materialize: bool = False,
     min_strength: int = 1,
     max_span: int | None = None,
     signatures: bool = True,
@@ -260,12 +251,16 @@ def otcd_query(
         if max_span is not None and tti[1] - tti[0] + 1 > max_span:
             by_tti[tti] = None  # seen, filtered by span constraint
         else:
-            by_tti[tti] = _collect(
-                core, ts, te, materialize=materialize, signatures=signatures
-            )
+            by_tti[tti] = _collect(core, ts, te, signatures=signatures)
     cores = [r for r in by_tti.values() if r is not None]
     stats.cores_collected = len(cores)
     return QueryResult(cores=cores, stats=stats)
+
+
+def top_n_shortest_span(cores: Sequence[CoreRecord], n: int) -> list[CoreRecord]:
+    """The ``n`` result cores with the shortest TTI span, ties broken by
+    TTI start (the top-n variant of the time-span extension, §6.2)."""
+    return sorted(cores, key=lambda c: (c.tti[1] - c.tti[0], c.tti))[:n]
 
 
 def tcd_query(graph: TEL, k: int, Ts: int, Te: int, **kw) -> QueryResult:

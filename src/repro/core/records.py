@@ -20,7 +20,6 @@ class CoreRecord:
     n_vertices: int
     n_edges: int
     signature: frozenset[int]
-    edges: tuple[tuple[int, int, int], ...] | None = None
 
     def key(self) -> tuple:
         """Canonical identity for cross-algorithm comparison."""

@@ -441,8 +441,8 @@ class TEL:
         return compress(self.ix.ids[a:b], self.alive[a:b])
 
     def edges(self) -> list[tuple[int, int, int]]:
-        """Alive edges as sorted ``(u, v, t)`` triples (for materialising
-        query results; not used on algorithm hot paths)."""
+        """Alive edges as sorted ``(u, v, t)`` triples (not used on
+        algorithm hot paths)."""
         eu, ev, et = self.edge_u, self.edge_v, self.edge_t
         return sorted((eu[e], ev[e], et[e]) for e in self._alive_ids())
 

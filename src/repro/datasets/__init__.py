@@ -3,7 +3,6 @@ from .temporal import (
     DATASETS,
     DatasetSpec,
     burst_schedule,
-    edge_list,
     generate,
     generate_spark,
     tick_to_date,
@@ -13,7 +12,6 @@ __all__ = [
     "DATASETS",
     "DatasetSpec",
     "burst_schedule",
-    "edge_list",
     "generate",
     "generate_spark",
     "tick_to_date",

@@ -240,12 +240,6 @@ def generate_spark(
     return spark.createDataFrame(generate(name, sf=sf))
 
 
-def edge_list(name: str, *, sf: float = 1.0) -> list[tuple[int, int, int]]:
-    """Edges as Python triples for the driver-side TEL algorithms."""
-    pdf = generate(name, sf=sf)
-    return list(zip(pdf["u"].tolist(), pdf["v"].tolist(), pdf["t"].tolist()))
-
-
 @lru_cache(maxsize=16)
 def edge_arrays(
     name: str, sf: float = 1.0

@@ -1,11 +1,10 @@
-"""Evaluation-section harnesses (paper Tables 2-6 + Figure 7)."""
-from .queries import PAPER_RESULT_COUNTS, QuerySpec, query_by_id, selected_queries
+"""Evaluation-section harnesses (paper Tables 3-6 + Figure 7)."""
+from .queries import PAPER_RESULT_COUNTS, QuerySpec, selected_queries
 from .tables import (
     fig7,
     print_table,
     query_edges,
     query_tel,
-    table2,
     table3,
     table4,
     table5,
@@ -15,11 +14,9 @@ from .tables import (
 __all__ = [
     "QuerySpec",
     "selected_queries",
-    "query_by_id",
     "PAPER_RESULT_COUNTS",
     "query_tel",
     "query_edges",
-    "table2",
     "table3",
     "table4",
     "table5",

@@ -65,7 +65,3 @@ def selected_queries(*, sf: float = 1.0) -> list[QuerySpec]:
             out.append(QuerySpec(qid=qid, dataset=name, Ts=Ts, Te=Te, k=k))
             qid += 1
     return out
-
-
-def query_by_id(qid: int, *, sf: float = 1.0) -> QuerySpec:
-    return selected_queries(sf=sf)[qid - 1]

@@ -1,9 +1,12 @@
-"""Harnesses that regenerate each table of the paper's evaluation (§7).
+"""Harnesses that regenerate the paper's evaluation (§7): Tables 3-6
+and Figure 7.
 
 Each ``tableN`` function returns a pandas DataFrame laid out like the
 paper's table (with the paper's own numbers alongside where the paper
-reports per-row numbers) and is wrapped by a ``jobs/`` entrypoint.
-EXPERIMENTS.md records a captured run next to the paper's values.
+reports per-row numbers) and is wrapped by a ``jobs/`` entrypoint; Table
+2 is computed by ``jobs/table2_datasets.py`` through Spark
+``graph_stats``. EXPERIMENTS.md records a captured run next to the
+paper's values.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import pandas as pd
 from ..core.otcd import otcd_query, tcd_query
 from ..core.tcd import window_tel
 from ..core.tel import TEL
-from ..datasets.temporal import DATASETS, edge_arrays, generate, tick_to_date
+from ..datasets.temporal import DATASETS, edge_arrays, tick_to_date
 from ..phc.baseline import iphc_query
 from ..phc.index import build_phc_index
 from .queries import PAPER_RESULT_COUNTS, QuerySpec, selected_queries
@@ -37,31 +40,6 @@ def query_edges(q: QuerySpec, *, sf: float = 1.0) -> list[tuple[int, int, int]]:
     """Full edge list of the query's dataset (ids = positions)."""
     us, vs, ts = edge_arrays(q.dataset, sf)
     return list(zip(us, vs, ts))
-
-
-# ---------------------------------------------------------------- Table 2
-
-def table2(*, sf: float = 1.0) -> pd.DataFrame:
-    """Dataset statistics (paper Table 2) — ours vs the paper's."""
-    rows = []
-    for name in DATASET_ORDER:
-        spec = DATASETS[name].scaled(sf)
-        pdf = generate(name, sf=sf)
-        n_vertices = len(pd.unique(pd.concat([pdf["u"], pdf["v"]], ignore_index=True)))
-        span_days = (int(pdf["t"].max()) - int(pdf["t"].min())) // spec.ticks_per_day + 1
-        rows.append(
-            {
-                "Name": name,
-                "|V|": n_vertices,
-                "|E|": len(pdf),
-                "Span(days)": span_days,
-                "paper |V|": spec.paper_vertices,
-                "paper |E|": spec.paper_edges,
-                "paper Span(days)": spec.paper_span_days,
-                "scale": spec.scale_note,
-            }
-        )
-    return pd.DataFrame(rows)
 
 
 # ---------------------------------------------------------------- Table 3

@@ -20,6 +20,7 @@ import heapq
 from operator import itemgetter
 from typing import Sequence
 
+from ..core.otcd import check_query
 from ..core.records import CoreRecord, QueryResult, QueryStats
 from ..core.tcd import window_ids
 from .index import PHCIndex
@@ -33,8 +34,6 @@ def iphc_query(
     k: int,
     Ts: int,
     Te: int,
-    *,
-    materialize: bool = False,
 ) -> QueryResult:
     """Answer TCQ(G, k, [Ts, Te]) incrementally using a PHC-Index.
 
@@ -43,8 +42,10 @@ def iphc_query(
     signatures are comparable with the TEL-based algorithms and the
     window is cut by binary search, as for TCD and OTCD; self-loops are
     ignored. The index must cover anchors ``Ts..Te`` at this ``k`` (see
-    ``build_phc_index``).
+    ``build_phc_index``). Raises ``ValueError`` outside the input model
+    (``k >= 1``, ``Ts <= Te``).
     """
+    check_query(k, Ts, Te)
     span = Te - Ts + 1
     res = QueryResult(stats=QueryStats(cells_total=span * (span + 1) // 2))
     seen: set[frozenset[int]] = set()
@@ -97,9 +98,6 @@ def iphc_query(
                     n_vertices=len(V),
                     n_edges=len(E),
                     signature=sig,
-                    edges=tuple(sorted(edges[e] for e in E))
-                    if materialize
-                    else None,
                 )
             )
     res.stats.cores_collected = len(res.cores)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.otcd import sweep
+from ..core.otcd import check_query, sweep
 from ..core.tcd import tcd_operation  # noqa: F401  (patched by perfbench's traced run)
 from ..core.tcd import window_tel
 
@@ -35,8 +35,10 @@ def build_phc_index(edges: Sequence[Edge], k: int, Ts: int, Te: int) -> PHCIndex
     :mod:`repro.core.tel`).
 
     This is the offline precomputation whose cost the paper's Figure 7
-    excludes from baseline response time.
+    excludes from baseline response time. Raises ``ValueError`` outside
+    the input model (``k >= 1``, ``Ts <= Te``).
     """
+    check_query(k, Ts, Te)
     us, vs, tts = zip(*edges) if edges else ((), (), ())
     index: PHCIndex = {ts: {} for ts in range(Ts, Te + 1)}
     window = window_tel(us, vs, tts, Ts, Te)

@@ -8,13 +8,13 @@ from repro.datasets.temporal import (
     DATASETS,
     burst_schedule,
     edge_arrays,
-    edge_list,
     generate,
     generate_spark,
     tick_to_date,
 )
-from repro.oracle import assert_equivalent
 from repro.sparkdist.graph_io import degrees
+
+from .oracle import assert_equivalent
 
 ALL = sorted(DATASETS)
 SF = 0.01  # tiny instances for structural tests
@@ -84,17 +84,13 @@ class TestGeneration:
         background_rate = len(pdf) / spec.n_ticks
         assert in_burst / width > 5 * background_rate
 
-    def test_edge_list_matches_frame(self):
-        pdf = generate("collegemsg", sf=SF)
-        el = edge_list("collegemsg", sf=SF)
-        assert len(el) == len(pdf)
-        assert el[0] == (pdf["u"].iat[0], pdf["v"].iat[0], pdf["t"].iat[0])
-
     def test_edge_arrays_cached_and_consistent(self):
         us, vs, ts = edge_arrays("collegemsg", SF)
         us2, _, _ = edge_arrays("collegemsg", SF)
         assert us is us2  # lru cache
-        assert len(us) == len(vs) == len(ts)
+        pdf = generate("collegemsg", sf=SF)
+        assert len(us) == len(vs) == len(ts) == len(pdf)
+        assert (us[0], vs[0], ts[0]) == (pdf["u"].iat[0], pdf["v"].iat[0], pdf["t"].iat[0])
 
 
 class TestBurstSchedule:

@@ -1,11 +1,10 @@
 """Extensions of §6: link strength, time span, dynamic graphs."""
 import pytest
 
-from repro.core import reference as ref
-from repro.core.extensions import requery_after_append, top_n_shortest_span
-from repro.core.otcd import otcd_query, tcd_query
+from repro.core.otcd import otcd_query, tcd_query, top_n_shortest_span
 
-from .util import bursty_temporal_graph, random_temporal_graph, tel_of
+from . import reference as ref
+from .util import bursty_temporal_graph, core_edges, random_temporal_graph, tel_of
 
 
 class TestLinkStrength:
@@ -16,10 +15,8 @@ class TestLinkStrength:
         expect = set(
             ref.distinct_cores(edges, 2, 1, 6, min_strength=sigma)
         )
-        res = otcd_query(
-            tel_of(edges, 1, 6), 2, 1, 6, min_strength=sigma, materialize=True
-        )
-        assert {c.edges for c in res.cores} == expect
+        res = otcd_query(tel_of(edges, 1, 6), 2, 1, 6, min_strength=sigma)
+        assert {core_edges(edges, c) for c in res.cores} == expect
 
     def test_strength_one_is_plain_tcq(self):
         edges = bursty_temporal_graph(0)
@@ -37,17 +34,18 @@ class TestLinkStrength:
 
     def test_strength_keeps_reinforced_triangle(self):
         edges = [(1, 2, 1), (2, 3, 1), (1, 3, 1), (1, 2, 2), (2, 3, 2), (1, 3, 2)]
-        res = otcd_query(tel_of(edges), 2, 1, 2, min_strength=2,
-                         materialize=True)
+        res = otcd_query(tel_of(edges), 2, 1, 2, min_strength=2)
         assert len(res.cores) >= 1
         assert res.cores[0].n_vertices == 3
 
     def test_tcd_variant_also_supports_strength(self):
         edges = random_temporal_graph(3, n_vertices=6, n_edges=60, n_ticks=6)
         tel = tel_of(edges, 1, 6)
-        a = tcd_query(tel, 2, 1, 6, min_strength=2, materialize=True)
-        b = otcd_query(tel, 2, 1, 6, min_strength=2, materialize=True)
-        assert {c.edges for c in a.cores} == {c.edges for c in b.cores}
+        a = tcd_query(tel, 2, 1, 6, min_strength=2)
+        b = otcd_query(tel, 2, 1, 6, min_strength=2)
+        assert {core_edges(edges, c) for c in a.cores} == {
+            core_edges(edges, c) for c in b.cores
+        }
 
 
 class TestTimeSpan:
@@ -63,10 +61,8 @@ class TestTimeSpan:
     def test_max_span_matches_reference(self):
         edges = bursty_temporal_graph(2, burst_window=(8, 11))
         expect = set(ref.distinct_cores(edges, 2, 1, 20, max_span=3))
-        res = otcd_query(
-            tel_of(edges), 2, 1, 20, max_span=3, materialize=True
-        )
-        assert {c.edges for c in res.cores} == expect
+        res = otcd_query(tel_of(edges), 2, 1, 20, max_span=3)
+        assert {core_edges(edges, c) for c in res.cores} == expect
 
     def test_top_n_shortest(self):
         edges = bursty_temporal_graph(3)
@@ -84,7 +80,9 @@ class TestDynamic:
         edges = bursty_temporal_graph(4, n_ticks=15)
         new = [(1, 2, 16), (2, 3, 16), (1, 3, 17), (1, 2, 17)]
         tel = tel_of(edges)
-        res_dyn = requery_after_append(tel, new, 2, 1, 17)
+        for e in new:
+            tel.add_edge(*e)
+        res_dyn = otcd_query(tel, 2, 1, 17)
         fresh = tel_of(edges + new, 1, 17)
         res_fresh = otcd_query(fresh, 2, 1, 17)
         assert res_dyn.ttis() == res_fresh.ttis()
@@ -97,10 +95,12 @@ class TestDynamic:
         tel = tel_of(edges)
         assert otcd_query(tel, 2, 1, 5).cores == []
         burst = [(1, 2, 6), (2, 3, 6), (1, 3, 7)]
-        res = requery_after_append(tel, burst, 2, 1, 7)
+        for e in burst:
+            tel.add_edge(*e)
+        res = otcd_query(tel, 2, 1, 7)
         assert len(res.cores) >= 1
 
     def test_append_out_of_order_rejected(self):
         tel = tel_of([(1, 2, 5)])
         with pytest.raises(ValueError):
-            requery_after_append(tel, [(2, 3, 3)], 2, 1, 5)
+            tel.add_edge(2, 3, 3)

@@ -46,7 +46,7 @@ class TestAdd:
     def test_single_point(self):
         s = IntervalSet()
         assert s.add(5, 5) == 1
-        assert s.covers(5) and not s.covers(4) and not s.covers(6)
+        assert [s.count_uncovered(x, x) for x in (4, 5, 6)] == [1, 0, 1]
 
 
 class TestQueries:
@@ -54,7 +54,8 @@ class TestQueries:
         s = IntervalSet()
         s.add(2, 4)
         s.add(8, 9)
-        assert [x for x in range(1, 11) if s.covers(x)] == [2, 3, 4, 8, 9]
+        covered = [x for x in range(1, 11) if s.count_uncovered(x, x) == 0]
+        assert covered == [2, 3, 4, 8, 9]
 
     def test_next_uncovered_leq(self):
         s = IntervalSet()
@@ -94,7 +95,7 @@ def test_random_against_set_model(seed):
         model |= set(range(lo, hi + 1)) if lo <= hi else set()
         # covers
         x = rng.randint(0, 55)
-        assert s.covers(x) == (x in model)
+        assert (s.count_uncovered(x, x) == 0) == (x in model)
         # next_uncovered_leq
         ceil, floor = rng.randint(0, 55), rng.randint(0, 10)
         want = next((c for c in range(ceil, floor - 1, -1) if c not in model), None)

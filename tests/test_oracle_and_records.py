@@ -3,7 +3,8 @@ import pandas as pd
 import pytest
 
 from repro.core.records import CoreRecord, QueryResult, QueryStats
-from repro.oracle import assert_equivalent
+
+from .oracle import assert_equivalent
 
 
 class TestOracle:

@@ -2,11 +2,13 @@
 plus the paper's claims about the pruning rules (§4.3)."""
 import pytest
 
-from repro.core import reference as ref
 from repro.core.otcd import otcd_query, tcd_query
+from repro.phc.baseline import iphc_query
+from repro.phc.index import build_phc_index
 from repro.sparkdist.tcq import distributed_tcq
 
-from .util import bursty_temporal_graph, random_temporal_graph, tel_of
+from . import reference as ref
+from .util import bursty_temporal_graph, core_edges, random_temporal_graph, tel_of
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -14,8 +16,8 @@ from .util import bursty_temporal_graph, random_temporal_graph, tel_of
 def test_equals_reference(seed, k):
     edges = random_temporal_graph(seed, n_vertices=10, n_edges=55, n_ticks=9)
     expect = set(ref.distinct_cores(edges, k, 1, 9))
-    res = otcd_query(tel_of(edges, 1, 9), k, 1, 9, materialize=True)
-    assert {c.edges for c in res.cores} == expect
+    res = otcd_query(tel_of(edges, 1, 9), k, 1, 9)
+    assert {core_edges(edges, c) for c in res.cores} == expect
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -91,8 +93,8 @@ def test_subrange_equals_reference(seed, window):
     edges = bursty_temporal_graph(seed)
     ts, te = window
     expect = set(ref.distinct_cores(edges, 2, ts, te))
-    res = otcd_query(tel_of(edges, ts, te), 2, ts, te, materialize=True)
-    assert {c.edges for c in res.cores} == expect
+    res = otcd_query(tel_of(edges, ts, te), 2, ts, te)
+    assert {core_edges(edges, c) for c in res.cores} == expect
 
 
 def test_first_inducer_reported_in_schedule_order():
@@ -106,11 +108,15 @@ def test_first_inducer_reported_in_schedule_order():
 
 
 @pytest.mark.parametrize("k, Ts, Te", [(0, 1, 9), (-1, 1, 9), (2, 9, 1)])
-@pytest.mark.parametrize("query", [tcd_query, otcd_query])
+@pytest.mark.parametrize(
+    "query", [tcd_query, otcd_query, build_phc_index, iphc_query]
+)
 def test_rejects_invalid_query(query, k, Ts, Te):
-    tel = tel_of(bursty_temporal_graph(0))
+    edges = bursty_temporal_graph(0)
+    # The baseline takes the edge list (and an index); the rest a TEL.
+    args = {build_phc_index: (edges,), iphc_query: (edges, {})}
     with pytest.raises(ValueError):
-        query(tel, k, Ts, Te)
+        query(*args.get(query, (tel_of(edges),)), k, Ts, Te)
 
 
 @pytest.mark.parametrize("k, Ts, Te", [(0, 1, 9), (-1, 1, 9), (2, 9, 1)])

@@ -1,12 +1,12 @@
 """PHC-Index construction and the iPHC-Query baseline (Algorithm 1)."""
 import pytest
 
-from repro.core import reference as ref
 from repro.core.otcd import otcd_query
 from repro.phc.baseline import iphc_query
 from repro.phc.index import build_phc_index
 
-from .util import bursty_temporal_graph, random_temporal_graph, tel_of
+from . import reference as ref
+from .util import bursty_temporal_graph, core_edges, random_temporal_graph, tel_of
 
 
 class TestIndex:
@@ -49,8 +49,8 @@ class TestBaseline:
     def test_equals_reference(self, seed, k):
         edges = random_temporal_graph(seed, n_vertices=10, n_edges=50, n_ticks=8)
         index = build_phc_index(edges, k, 1, 8)
-        res = iphc_query(edges, index, k, 1, 8, materialize=True)
-        assert {c.edges for c in res.cores} == set(
+        res = iphc_query(edges, index, k, 1, 8)
+        assert {core_edges(edges, c) for c in res.cores} == set(
             ref.distinct_cores(edges, k, 1, 8)
         )
 
@@ -66,8 +66,8 @@ class TestBaseline:
     def test_subrange(self):
         edges = bursty_temporal_graph(2)
         index = build_phc_index(edges, 2, 6, 14)
-        res = iphc_query(edges, index, 2, 6, 14, materialize=True)
-        assert {c.edges for c in res.cores} == set(
+        res = iphc_query(edges, index, 2, 6, 14)
+        assert {core_edges(edges, c) for c in res.cores} == set(
             ref.distinct_cores(edges, 2, 6, 14)
         )
 
@@ -79,9 +79,7 @@ class TestBaseline:
     def test_tti_and_counts_recorded(self):
         edges = bursty_temporal_graph(3)
         index = build_phc_index(edges, 2, 1, 20)
-        for c in iphc_query(edges, index, 2, 1, 20, materialize=True).cores:
-            assert c.tti == (
-                min(t for _, _, t in c.edges),
-                max(t for _, _, t in c.edges),
-            )
-            assert c.n_edges == len(c.edges)
+        for c in iphc_query(edges, index, 2, 1, 20).cores:
+            ce = core_edges(edges, c)
+            assert c.tti == (min(t for _, _, t in ce), max(t for _, _, t in ce))
+            assert c.n_edges == len(ce)

@@ -6,12 +6,12 @@ from operator import itemgetter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import reference as ref
 from repro.core.otcd import otcd_query, tcd_query
 from repro.core.tcd import tcd_operation
 from repro.core.tel import TEL
 
-from .util import tel_of
+from . import reference as ref
+from .util import core_edges, tel_of
 
 edge_st = st.tuples(
     st.integers(0, 7), st.integers(0, 7), st.integers(1, 6)
@@ -62,8 +62,8 @@ def test_otcd_equals_tcd_equals_reference(edges, k):
     T = max(t for _, _, t in edges)
     expect = set(ref.distinct_cores(edges, k, 1, T))
     tel = tel_of(edges, 1, T)
-    got_tcd = {c.edges for c in tcd_query(tel, k, 1, T, materialize=True).cores}
-    got_otcd = {c.edges for c in otcd_query(tel, k, 1, T, materialize=True).cores}
+    got_tcd = {core_edges(edges, c) for c in tcd_query(tel, k, 1, T).cores}
+    got_otcd = {core_edges(edges, c) for c in otcd_query(tel, k, 1, T).cores}
     assert got_tcd == expect
     assert got_otcd == expect
 
@@ -72,14 +72,13 @@ def test_otcd_equals_tcd_equals_reference(edges, k):
 @given(edges=edges_st, k=st.integers(1, 3))
 def test_otcd_ttis_are_unique_and_tight(edges, k):
     T = max(t for _, _, t in edges)
-    res = otcd_query(tel_of(edges, 1, T), k, 1, T, materialize=True)
+    res = otcd_query(tel_of(edges, 1, T), k, 1, T)
     seen = set()
     for c in res.cores:
         assert c.tti not in seen
         seen.add(c.tti)
-        tmin = min(t for _, _, t in c.edges)
-        tmax = max(t for _, _, t in c.edges)
-        assert c.tti == (tmin, tmax)
+        ts = [t for _, _, t in core_edges(edges, c)]
+        assert c.tti == (min(ts), max(ts))
 
 
 op_st = st.one_of(

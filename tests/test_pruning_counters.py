@@ -4,10 +4,10 @@ Python set and induces every cell with the brute-force oracle."""
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import reference as ref
 from repro.core.otcd import otcd_query
 from repro.core.records import QueryStats
 
+from . import reference as ref
 from .util import bursty_temporal_graph, random_temporal_graph, tel_of
 
 

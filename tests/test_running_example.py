@@ -8,7 +8,8 @@ present in all of them).
 """
 from repro.core.otcd import otcd_query, tcd_query
 
-from .util import tel_of
+from . import reference as ref
+from .util import core_edges, tel_of
 
 # Timeline (k = 2 throughout):
 #   t=1..2 : triangle A = {1,2,3}            (red core)
@@ -22,27 +23,27 @@ EDGES = [
 ]
 
 
-def vertex_set(core_edges):
-    return {u for u, _, _ in core_edges} | {v for _, v, _ in core_edges}
+def vertex_set(c):
+    return {x for u, v, _ in core_edges(EDGES, c) for x in (u, v)}
 
 
 def test_distinct_cores_by_hand():
-    res = otcd_query(tel_of(EDGES, 1, 7), 2, 1, 7, materialize=True)
+    res = otcd_query(tel_of(EDGES, 1, 7), 2, 1, 7)
     by_tti = {c.tti: c for c in res.cores}
     # Triangle A alone: induced by any window covering [1,2] but not B.
     assert (1, 2) in by_tti
-    assert vertex_set(by_tti[(1, 2)].edges) == {1, 2, 3}
+    assert vertex_set(by_tti[(1, 2)]) == {1, 2, 3}
     # Triangle B alone.
     assert (4, 5) in by_tti
-    assert vertex_set(by_tti[(4, 5)].edges) == {5, 6, 7}
+    assert vertex_set(by_tti[(4, 5)]) == {5, 6, 7}
     # The merged community needs the bridges: full window core.
     assert (1, 7) in by_tti
-    assert vertex_set(by_tti[(1, 7)].edges) == {1, 2, 3, 5, 6, 7}
+    assert vertex_set(by_tti[(1, 7)]) == {1, 2, 3, 5, 6, 7}
 
 
 def test_merged_core_contains_small_cores():
-    res = otcd_query(tel_of(EDGES, 1, 7), 2, 1, 7, materialize=True)
-    by_tti = {c.tti: set(c.edges) for c in res.cores}
+    res = otcd_query(tel_of(EDGES, 1, 7), 2, 1, 7)
+    by_tti = {c.tti: set(core_edges(EDGES, c)) for c in res.cores}
     assert by_tti[(1, 2)] <= by_tti[(1, 7)]
     assert by_tti[(4, 5)] <= by_tti[(1, 7)]
 
@@ -50,7 +51,7 @@ def test_merged_core_contains_small_cores():
 def test_historical_query_is_special_case():
     """HCQ([1,7]) = the single core of the full window — TCQ returns it
     among its results (paper §2.2: HCQ is a special case of TCQ)."""
-    full = otcd_query(tel_of(EDGES, 1, 7), 2, 1, 7, materialize=True)
+    full = otcd_query(tel_of(EDGES, 1, 7), 2, 1, 7)
     ttis = full.ttis()
     assert (1, 7) in ttis
     assert len(ttis) > 1  # TCQ reveals cores HCQ cannot see
@@ -62,9 +63,7 @@ def test_both_algorithms_agree_on_example():
 
 
 def test_k3_matches_reference():
-    from repro.core import reference as ref
-
-    res = otcd_query(tel_of(EDGES, 1, 7), 3, 1, 7, materialize=True)
-    assert {c.edges for c in res.cores} == set(
+    res = otcd_query(tel_of(EDGES, 1, 7), 3, 1, 7)
+    assert {core_edges(EDGES, c) for c in res.cores} == set(
         ref.distinct_cores(EDGES, 3, 1, 7)
     )

@@ -1,9 +1,9 @@
 """Distributed peeling (Catalyst loop) vs the brute-force reference."""
 import pytest
 
-from repro.core import reference as ref
 from repro.sparkdist.decomposition import peel, temporal_kcore_df
 
+from . import reference as ref
 from .util import bursty_temporal_graph, edges_pdf, random_temporal_graph
 
 

@@ -2,7 +2,6 @@
 import pytest
 from pyspark.sql import functions as F
 
-from repro.oracle import assert_equivalent
 from repro.sparkdist.graph_io import (
     degrees,
     detemporalized,
@@ -10,6 +9,7 @@ from repro.sparkdist.graph_io import (
     projected,
 )
 
+from .oracle import assert_equivalent
 from .util import edges_pdf, random_temporal_graph
 
 

@@ -2,10 +2,10 @@
 import pytest
 from pyspark.errors import AnalysisException
 
-from repro.core import reference as ref
 from repro.core.otcd import otcd_query
 from repro.sparkdist.tcq import distributed_tcq_pdf
 
+from . import reference as ref
 from .util import SELF_LOOP_GRAPHS, bursty_temporal_graph, edges_pdf, tel_of
 
 

@@ -2,9 +2,9 @@
 decremental property (Theorem 1)."""
 import pytest
 
-from repro.core import reference as ref
 from repro.core.tcd import tcd_operation
 
+from . import reference as ref
 from .util import bursty_temporal_graph, random_temporal_graph, tel_of
 
 

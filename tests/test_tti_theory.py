@@ -2,9 +2,9 @@
 Theorem 2, Properties 1-3 and Lemmas 2-5 on random graphs."""
 import pytest
 
-from repro.core import reference as ref
 from repro.core.tcd import tcd_operation
 
+from . import reference as ref
 from .util import bursty_temporal_graph, random_temporal_graph, tel_of
 
 

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import random
 from operator import itemgetter
+from typing import Sequence
 
 import pandas as pd
 
+from repro.core.records import CoreRecord
 from repro.core.tcd import window_tel
 from repro.core.tel import TEL
 
@@ -74,6 +76,12 @@ def tel_of(edges: list[Edge], ts: int | None = None, te: int | None = None) -> T
     if te is None:
         te = max(tts)
     return window_tel(us, vs, tts, ts, te)
+
+
+def core_edges(edges: Sequence[Edge], rec: CoreRecord) -> tuple[Edge, ...]:
+    """A result core's edges as sorted ``(u, v, t)`` triples: signatures
+    are global edge ids, and an id is a position in ``edges``."""
+    return tuple(sorted(edges[e] for e in rec.signature))
 
 
 def edges_pdf(edges: list[Edge]) -> pd.DataFrame:
