@@ -8,8 +8,9 @@ algorithms appear side by side in the benchmark table.
 import pytest
 
 from repro.core.otcd import otcd_query, tcd_query
+from repro.datasets.temporal import edge_arrays
 from repro.experiments.queries import selected_queries
-from repro.experiments.tables import query_edges, query_tel
+from repro.experiments.tables import query_tel
 from repro.phc.baseline import iphc_query
 from repro.phc.index import build_phc_index
 
@@ -25,7 +26,7 @@ def _query(qid):
 @pytest.mark.parametrize("qid", QIDS)
 def test_baseline_iphc(benchmark, qid):
     q = _query(qid)
-    edges = query_edges(q, sf=SF)
+    edges = list(zip(*edge_arrays(q.dataset, SF)))
     index = build_phc_index(edges, q.k, q.Ts, q.Te)
     res = benchmark.pedantic(
         iphc_query, args=(edges, index, q.k, q.Ts, q.Te), rounds=3, iterations=1

@@ -2,9 +2,11 @@
 repository root (report-only; nothing gates on it).
 
 Each entry holds the suite, the git SHA of the checkout (``dirty`` when
-``src/`` differs from it), ``nproc``, the repeat count, the best and
-median wall seconds and the number of cores the query returned. The
-writer uses the standard library only; the suites import ``repro``.
+``src/`` differs from it), the line count of ``src/repro/**/*.py``
+(``src_lines``, the source-size metric), ``nproc``, the repeat count,
+the best and median wall seconds and the number of cores the query
+returned. The writer uses the standard library only; the suites import
+``repro``.
 
 The one suite so far, ``table6-scan``, is the Table-6 full-span Youtube
 scan at sf=1, k=10, best of 3 (``repro.experiments.tables.table6``): one
@@ -30,12 +32,20 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
+def src_lines() -> int:
+    """Lines of ``src/repro/**/*.py``, counted as ``wc -l`` does."""
+    return sum(
+        p.read_bytes().count(b"\n") for p in (ROOT / "src" / "repro").rglob("*.py")
+    )
+
+
 def append_entry(suite: str, seconds: list[float], cores: int, **extra) -> dict:
     """Append one entry for ``suite`` to ``BENCH_<suite>.json``; return it."""
     entry = {
         "suite": suite,
         "sha": _git("rev-parse", "HEAD"),
         "dirty": bool(_git("status", "--porcelain", "--untracked-files=no", "--", "src")),
+        "src_lines": src_lines(),
         "nproc": len(os.sched_getaffinity(0)),
         "repeat": len(seconds),
         "best_s": round(min(seconds), 3),

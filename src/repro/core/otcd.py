@@ -222,7 +222,6 @@ def otcd_query(
     rows: tuple[int, int] | None = None,
     prune: bool = True,
     min_strength: int = 1,
-    max_span: int | None = None,
     signatures: bool = True,
 ) -> QueryResult:
     """Answer TCQ(G, k, [Ts, Te]) with the optimized TCD algorithm.
@@ -230,31 +229,33 @@ def otcd_query(
     Returns every distinct temporal k-core exactly once (keyed by TTI,
     reported with its first inducing cell) plus work and pruning
     statistics. ``graph`` is left untouched. ``rows`` restricts the
-    sweep to a range of anchor rows. ``max_span`` filters results by
-    TTI span (time-span extension, §6.2) without affecting enumeration;
-    ``min_strength`` is the link-strength extension (see
-    :func:`tcd_operation`). ``signatures=False`` skips the O(|core|)
-    edge-set signature per collected core (use for large full-span
-    scans; TTIs still identify cores uniquely by Property 2).
+    sweep to a range of anchor rows. ``min_strength`` is the
+    link-strength extension (see :func:`tcd_operation`); the time-span
+    extension filters the result (:func:`within_span`).
+    ``signatures=False`` skips the O(|core|) edge-set signature per
+    collected core (use for large full-span scans; TTIs still identify
+    cores uniquely by Property 2).
     """
     check_query(k, Ts, Te)
     span = Te - Ts + 1
     stats = QueryStats(cells_total=span * (span + 1) // 2)
-    by_tti: dict[tuple[int, int], CoreRecord | None] = {}
+    by_tti: dict[tuple[int, int], CoreRecord] = {}
     for ts, te, core in sweep(
         graph, k, Ts, Te,
         rows=rows, prune=prune, min_strength=min_strength, stats=stats,
     ):
         tti = core.get_tti()
-        if tti in by_tti:
-            continue
-        if max_span is not None and tti[1] - tti[0] + 1 > max_span:
-            by_tti[tti] = None  # seen, filtered by span constraint
-        else:
+        if tti not in by_tti:
             by_tti[tti] = _collect(core, ts, te, signatures=signatures)
-    cores = [r for r in by_tti.values() if r is not None]
+    cores = list(by_tti.values())
     stats.cores_collected = len(cores)
     return QueryResult(cores=cores, stats=stats)
+
+
+def within_span(cores: Sequence[CoreRecord], max_span: int) -> list[CoreRecord]:
+    """The result cores whose TTI spans at most ``max_span`` timestamps
+    (the time-span extension, §6.2: a filter on the result)."""
+    return [c for c in cores if c.tti[1] - c.tti[0] + 1 <= max_span]
 
 
 def top_n_shortest_span(cores: Sequence[CoreRecord], n: int) -> list[CoreRecord]:

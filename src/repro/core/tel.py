@@ -11,21 +11,22 @@ window with NumPy; ``copy()`` shares it. Local *positions* ``0..n-1``
 number the window's edges in id order. Per edge (4-byte ints unless
 noted): its timestamp index ``tix``, its vertex-pair id ``pair`` (-1 for
 a self-loop) and two CSR incidence entries ``inc`` (the SL/DL), 16 B in
-all; the global id of a position is ``ids[pos]``, a ``range`` for a
-window (0 B). Per distinct timestamp: its value ``tvals`` (8 B) and the
-first position ``tstart`` (4 B); per pair its dense endpoints ``pu/pv``;
-per vertex its label ``labels`` (8 B) and ``inc_ptr``.
+all; the global id of a position is ``ids[pos]``, a ``range`` (0 B).
+Per distinct timestamp: its value ``tvals`` (8 B) and the first
+position ``tstart`` (4 B); per pair its dense endpoints ``pu/pv``; per
+vertex its label ``labels`` (8 B) and ``inc_ptr``.
 
-**Per-copy state.** A TEL owns only flat counters, so ``copy()`` is a
-few memcpys: ``alive`` (1 B per edge), alive edges per timestamp
-``tcount``, parallel edges per alive pair ``mult`` and distinct alive
-neighbours per vertex ``deg`` (4 B each), plus head/tail timestamp
-indices that only move inwards: ``get_tti`` skips empty timestamps
-lazily, O(1) amortised. Peeling uses a *below-k worklist*: every vertex
-whose degree drops below the TEL's threshold ``k`` is pushed once.
-``signature()`` and ``edges()`` read only the live position range
-``[tstart[head], tstart[tail + 1])``, so a core collected from a large
-window costs its TTI's positions, not the window's.
+**Per-copy state.** A TEL holds only flat counters of its own, so
+``copy()`` is a few memcpys: ``alive`` (1 B per edge), alive edges per
+timestamp ``tcount``, parallel edges per alive pair ``mult`` and
+distinct alive neighbours per vertex ``deg`` (4 B each), plus head/tail
+timestamp indices that only move inwards: ``get_tti`` skips empty
+timestamps lazily, O(1) amortised. Peeling uses a *below-k worklist*:
+every vertex whose degree drops below the TEL's threshold ``k`` is
+pushed once. ``signature()`` and ``drop_weak_pairs`` read only the live
+position range ``[tstart[head], tstart[tail + 1])``, so a core
+collected from a large window costs its TTI's positions, not the
+window's.
 
 **Input model.** A temporal graph is three parallel edge arrays
 ``edge_u/edge_v/edge_t`` of integers sorted by ``t`` (non-decreasing,
@@ -35,8 +36,12 @@ makes every window ``G_[ts,te]`` a contiguous id range that
 one position range. ``TEL(...)`` raises ``ValueError`` on non-integer
 values or ids that are not time-sorted. Self-loops ``(v, v, t)`` keep
 their id but never join a TEL: degree counts distinct *other* vertices.
-Arrays and the index handed to a TEL are shared, never mutated: a TEL
-copies both before its first :meth:`TEL.add_edge`.
+A TEL reads the arrays once, while it builds its index, and keeps no
+reference to them; the index is never mutated after the build. A
+dynamic graph (paper §6.1) appends new edges, in time order, to arrays
+of its caller and cuts the next query's window again: ids stay
+positions, and ``TEL(...)`` rejects a window holding an out-of-order
+append.
 """
 from __future__ import annotations
 
@@ -49,14 +54,9 @@ import numpy as np
 import pandas as pd
 
 
-def _column(seq: Sequence, ids, what: str) -> np.ndarray:
-    """``seq`` at ``ids`` as int64, reading only those entries."""
-    if isinstance(ids, range) and ids.step == 1 and isinstance(
-        seq, (list, tuple, range, np.ndarray)
-    ):
-        part = seq if (ids.start, ids.stop) == (0, len(seq)) else seq[ids.start:ids.stop]
-    else:
-        part = list(map(seq.__getitem__, ids))
+def _column(seq: Sequence, ids: range, what: str) -> np.ndarray:
+    """``seq[ids.start:ids.stop]`` as int64, reading only those entries."""
+    part = seq if (ids.start, ids.stop) == (0, len(seq)) else seq[ids.start:ids.stop]
     a = np.asarray(part)
     if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers (got dtype {a.dtype})")
@@ -82,30 +82,27 @@ def _counts(a: np.ndarray) -> array:
 
 class _Index:
     """The immutable per-window arrays every copy of a TEL shares (see the
-    module docstring); ``vid``, ``pid`` and ``xinc`` exist only in a TEL's
-    private index after :meth:`TEL.add_edge` (label -> vertex, vertex
-    pair -> pair id, incidence of appended edges)."""
+    module docstring)."""
 
     __slots__ = (
         "ids", "tvals", "tstart", "tix", "pair", "pu", "pv",
-        "inc_ptr", "inc", "labels", "vid", "pid", "xinc",
+        "inc_ptr", "inc", "labels",
     )
 
 
 class TEL:
     """Temporal Edge List over edges ``(u, v, t)`` with stable edge ids.
 
-    Edge ids index into the ``edge_u/edge_v/edge_t`` arrays shared by
-    every TEL derived from the same base graph, so edge-set signatures
-    are comparable across copies and across processes that rebuilt the
-    arrays deterministically. ``eids`` selects the edges to index
-    (:func:`repro.core.tcd.window_tel` passes a window's id range);
-    self-loops among them are skipped.
+    Edge ids are positions in the ``edge_u/edge_v/edge_t`` arrays every
+    TEL of the same base graph is cut from, so edge-set signatures are
+    comparable across copies and across processes that rebuilt the
+    arrays deterministically. ``eids`` is the id range to index (default
+    all; :func:`repro.core.tcd.window_tel` passes a window's); self-loops
+    in it are skipped.
     """
 
     __slots__ = (
-        "edge_u", "edge_v", "edge_t", "owns", "ix",
-        "alive", "tcount", "mult", "deg", "head", "tail",
+        "ix", "alive", "tcount", "mult", "deg", "head", "tail",
         "n_edges", "nv", "k", "worklist",
     )
 
@@ -114,17 +111,12 @@ class TEL:
         edge_u: Sequence[int],
         edge_v: Sequence[int],
         edge_t: Sequence[int],
-        eids: Iterable[int] | None = None,
+        eids: range | None = None,
     ) -> None:
-        self.edge_u, self.edge_v, self.edge_t = edge_u, edge_v, edge_t
-        self.owns = False
         if eids is None:
             eids = range(len(edge_u))
-        elif not isinstance(eids, range):
-            eids = sorted(eids)
         ix = self.ix = _Index()
-        ix.ids = eids if isinstance(eids, range) else _mv(eids, np.int64)
-        ix.vid = ix.pid = ix.xinc = None
+        ix.ids = eids
 
         # TL: timestamps and their position ranges.
         t = _column(edge_t, eids, "timestamps")
@@ -218,9 +210,6 @@ class TEL:
         anchor row from ``T^k_[ts, Te]`` without disturbing the row-start
         chain instance (paper §5.2 keeps exactly these two in memory)."""
         cp = TEL.__new__(TEL)
-        cp.edge_u, cp.edge_v, cp.edge_t = self.edge_u, self.edge_v, self.edge_t
-        # Both TELs now share arrays and index, so either copies before appending.
-        self.owns = cp.owns = False
         cp.ix = self.ix
         cp.alive = self.alive[:]
         cp.tcount = self.tcount[:]
@@ -280,9 +269,8 @@ class TEL:
     def del_edge(self, e: int) -> None:
         """Delete the edge with global id ``e`` (no-op if not alive)."""
         ids = self.ix.ids
-        i = bisect_left(ids, e)
-        if i < len(ids) and ids[i] == e:
-            self._drop((i,))
+        if e in ids:
+            self._drop((e - ids.start,))
 
     def truncate(self, ts: int, te: int) -> None:
         """Delete the edges outside ``[ts, te]``: two position ranges."""
@@ -305,8 +293,9 @@ class TEL:
         Multiplicities only fall, so one pass over the alive edges finds
         them all."""
         mult, pair = self.mult, self.ix.pair
+        live = self._live()
         self._drop([
-            i for i in compress(range(len(self.alive)), self.alive)
+            i for i in compress(live, self.alive[live.start:live.stop])
             if mult[pair[i]] < min_strength
         ])
 
@@ -323,98 +312,12 @@ class TEL:
             self.worklist = [v for v, d in enumerate(deg) if 0 < d < k]
         self.k = k
         ix = self.ix
-        inc, ptr, xinc = ix.inc, ix.inc_ptr, ix.xinc
+        inc, ptr = ix.inc, ix.inc_ptr
         wl = self.worklist
         while wl:
             v = wl.pop()
             if 0 < deg[v] < k:
                 self._drop(inc[ptr[v]:ptr[v + 1]])
-                if xinc and v in xinc:
-                    self._drop(xinc[v])
-
-    def _own(self) -> None:
-        """Copy the shared edge arrays and index into ones this TEL owns and
-        may append to (the first :meth:`add_edge`)."""
-        self.edge_u = list(self.edge_u)
-        self.edge_v = list(self.edge_v)
-        self.edge_t = list(self.edge_t)
-        old, ix = self.ix, _Index()
-        for f, code in (
-            ("ids", "q"), ("tvals", "q"), ("tstart", "i"), ("tix", "i"),
-            ("pair", "i"), ("pu", "i"), ("pv", "i"), ("inc_ptr", "i"),
-            ("inc", "i"), ("labels", "q"),
-        ):
-            setattr(ix, f, array(code, getattr(old, f)))
-        ix.vid = {x: d for d, x in enumerate(ix.labels)}
-        ix.pid = {(a, b): p for p, (a, b) in enumerate(zip(ix.pu, ix.pv))}
-        ix.xinc = {v: list(es) for v, es in (old.xinc or {}).items()}
-        self.ix = ix
-        self.owns = True
-
-    def add_edge(self, u: int, v: int, t: int) -> int:
-        """Dynamic-graph append (paper §6.1): ``t`` must be >= every
-        timestamp indexed so far (new events arrive in time order).
-        Returns the new edge's id, the next position of the edge arrays.
-        O(1) amortised: the first append copies the shared arrays and
-        index (O(|E|)), later ones append to them. A self-loop takes an
-        id but is not indexed.
-        """
-        ix = self.ix
-        if len(ix.tvals) and t < ix.tvals[-1]:
-            raise ValueError(
-                f"add_edge requires non-decreasing timestamps "
-                f"(got {t} < last {ix.tvals[-1]})"
-            )
-        if not self.owns:
-            self._own()
-            ix = self.ix
-        e = len(self.edge_u)
-        self.edge_u.append(u)
-        self.edge_v.append(v)
-        self.edge_t.append(t)
-        if u == v:
-            return e
-        i = len(self.alive)
-        ix.ids.append(e)
-        if not len(ix.tvals) or t > ix.tvals[-1]:  # a new TL: i starts it
-            ix.tvals.append(t)
-            ix.tstart.append(i + 1)
-            self.tcount.append(0)
-        else:
-            ix.tstart[-1] = i + 1
-        h = len(ix.tvals) - 1
-        ix.tix.append(h)
-        self.tcount[h] += 1
-        self.head, self.tail = min(self.head, h), h
-        ends = []
-        for x in (u, v):
-            d = ix.vid.get(x)
-            if d is None:
-                d = ix.vid[x] = len(ix.labels)
-                ix.labels.append(x)
-                ix.inc_ptr.append(ix.inc_ptr[-1])
-                self.deg.append(0)
-            ix.xinc.setdefault(d, []).append(i)
-            ends.append(d)
-        key = (min(ends), max(ends))
-        p = ix.pid.get(key)
-        if p is None:
-            p = ix.pid[key] = len(ix.pu)
-            ix.pu.append(key[0])
-            ix.pv.append(key[1])
-            self.mult.append(0)
-        ix.pair.append(p)
-        self.alive.append(1)
-        self.n_edges += 1
-        self.mult[p] += 1
-        if self.mult[p] == 1:  # a new neighbour pair
-            for d in ends:
-                self.deg[d] += 1
-                if self.deg[d] == 1:
-                    self.nv += 1
-                if self.deg[d] < self.k:
-                    self.worklist.append(d)
-        return e
 
     # -- derived views -----------------------------------------------------
 
@@ -432,23 +335,19 @@ class TEL:
         """Distinct alive neighbours of every vertex in :meth:`vertices`."""
         return {x: d for x, d in zip(self.ix.labels, self.deg) if d}
 
-    def _alive_ids(self) -> Iterable[int]:
-        """Global ids of the alive edges, read from the live position range
-        ``[tstart[head], tstart[tail + 1])`` only (empty for an empty TEL)."""
+    def _live(self) -> range:
+        """The live position range ``[tstart[head], tstart[tail + 1])``
+        (empty for an empty TEL)."""
         if self.get_tti() is None:
-            return ()
-        a, b = self.ix.tstart[self.head], self.ix.tstart[self.tail + 1]
-        return compress(self.ix.ids[a:b], self.alive[a:b])
-
-    def edges(self) -> list[tuple[int, int, int]]:
-        """Alive edges as sorted ``(u, v, t)`` triples (not used on
-        algorithm hot paths)."""
-        eu, ev, et = self.edge_u, self.edge_v, self.edge_t
-        return sorted((eu[e], ev[e], et[e]) for e in self._alive_ids())
+            return range(0)
+        tstart = self.ix.tstart
+        return range(tstart[self.head], tstart[self.tail + 1])
 
     def signature(self) -> frozenset[int]:
         """Edge-set identity of the represented subgraph: alive edge ids."""
-        return frozenset(self._alive_ids())
+        live = self._live()
+        a, b = live.start, live.stop
+        return frozenset(compress(self.ix.ids[a:b], self.alive[a:b]))
 
     def timestamps(self) -> list[int]:
         """Timestamps with at least one alive edge, ascending."""

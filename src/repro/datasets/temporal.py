@@ -243,12 +243,12 @@ def generate_spark(
 @lru_cache(maxsize=16)
 def edge_arrays(
     name: str, sf: float = 1.0
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Column arrays ``(u, v, t)`` for TEL construction; cached because
-    every query on a dataset shares them (edge ids are positions), so no
-    caller may mutate them (``TEL.add_edge`` copies before appending)."""
+    every query on a dataset shares them (edge ids are positions), so
+    they are tuples: a dynamic graph (§6.1) appends to its own copy."""
     pdf = generate(name, sf=sf)
-    return (pdf["u"].tolist(), pdf["v"].tolist(), pdf["t"].tolist())
+    return tuple(tuple(pdf[c].tolist()) for c in "uvt")
 
 
 def tick_to_date(spec: DatasetSpec, tick: int) -> str:

@@ -3,7 +3,6 @@ from .queries import PAPER_RESULT_COUNTS, QuerySpec, selected_queries
 from .tables import (
     fig7,
     print_table,
-    query_edges,
     query_tel,
     table3,
     table4,
@@ -16,7 +15,6 @@ __all__ = [
     "selected_queries",
     "PAPER_RESULT_COUNTS",
     "query_tel",
-    "query_edges",
     "table3",
     "table4",
     "table5",

@@ -36,12 +36,6 @@ def query_tel(q: QuerySpec, *, sf: float = 1.0) -> TEL:
     return window_tel(us, vs, ts, q.Ts, q.Te)
 
 
-def query_edges(q: QuerySpec, *, sf: float = 1.0) -> list[tuple[int, int, int]]:
-    """Full edge list of the query's dataset (ids = positions)."""
-    us, vs, ts = edge_arrays(q.dataset, sf)
-    return list(zip(us, vs, ts))
-
-
 # ---------------------------------------------------------------- Table 3
 
 def table3(*, sf: float = 1.0) -> pd.DataFrame:
@@ -173,10 +167,12 @@ def fig7(*, sf: float = 1.0, qids: tuple[int, ...] | None = None) -> pd.DataFram
     baseline's PHC-Index build is offline in the paper and therefore
     excluded from its response time (reported separately)."""
     rows = []
+    name = edges = None
     for q in selected_queries(sf=sf):
         if qids is not None and q.qid not in qids:
             continue
-        edges = query_edges(q, sf=sf)
+        if q.dataset != name:  # iPHC's (u, v, t) list, once per dataset
+            name, edges = q.dataset, list(zip(*edge_arrays(q.dataset, sf)))
 
         t0 = time.perf_counter()
         index = build_phc_index(edges, q.k, q.Ts, q.Te)

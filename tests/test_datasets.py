@@ -92,6 +92,16 @@ class TestGeneration:
         assert len(us) == len(vs) == len(ts) == len(pdf)
         assert (us[0], vs[0], ts[0]) == (pdf["u"].iat[0], pdf["v"].iat[0], pdf["t"].iat[0])
 
+    def test_edge_arrays_are_read_only(self):
+        """Every query shares the cached arrays, so they are tuples: an
+        append raises instead of growing the cache under later windows."""
+        arrays = edge_arrays("collegemsg", SF)
+        for a in arrays:
+            assert isinstance(a, tuple)
+            with pytest.raises(AttributeError):
+                a.append(0)
+        assert all(len(a) == len(generate("collegemsg", sf=SF)) for a in arrays)
+
 
 class TestBurstSchedule:
     @pytest.mark.parametrize("name", ALL)

@@ -1,10 +1,13 @@
 """Extensions of §6: link strength, time span, dynamic graphs."""
 import pytest
 
-from repro.core.otcd import otcd_query, tcd_query, top_n_shortest_span
+from repro.core.otcd import otcd_query, tcd_query, top_n_shortest_span, within_span
+from repro.core.tcd import window_tel
 
 from . import reference as ref
-from .util import bursty_temporal_graph, core_edges, random_temporal_graph, tel_of
+from .util import (
+    append_edges, bursty_temporal_graph, core_edges, random_temporal_graph, tel_of,
+)
 
 
 class TestLinkStrength:
@@ -51,18 +54,17 @@ class TestLinkStrength:
 class TestTimeSpan:
     def test_max_span_filters(self):
         edges = bursty_temporal_graph(1, burst_window=(8, 11))
-        tel = tel_of(edges)
-        allc = otcd_query(tel, 2, 1, 20)
-        short = otcd_query(tel, 2, 1, 20, max_span=4)
-        assert short.ttis() == {
+        allc = otcd_query(tel_of(edges), 2, 1, 20)
+        short = within_span(allc.cores, 4)
+        assert {c.tti for c in short} == {
             t for t in allc.ttis() if t[1] - t[0] + 1 <= 4
         }
 
     def test_max_span_matches_reference(self):
         edges = bursty_temporal_graph(2, burst_window=(8, 11))
         expect = set(ref.distinct_cores(edges, 2, 1, 20, max_span=3))
-        res = otcd_query(tel_of(edges), 2, 1, 20, max_span=3)
-        assert {core_edges(edges, c) for c in res.cores} == expect
+        res = otcd_query(tel_of(edges), 2, 1, 20)
+        assert {core_edges(edges, c) for c in within_span(res.cores, 3)} == expect
 
     def test_top_n_shortest(self):
         edges = bursty_temporal_graph(3)
@@ -76,31 +78,42 @@ class TestTimeSpan:
 
 
 class TestDynamic:
+    """Dynamic graphs (§6.1): new edges append, in time order, to the
+    caller's edge arrays and the next query cuts its window again; edge
+    ids stay positions."""
+
+    BASE = bursty_temporal_graph(4, n_ticks=15)
+    NEW = [(1, 2, 16), (2, 3, 16), (1, 3, 17), (1, 2, 17)]
+
     def test_append_then_requery_equals_fresh(self):
-        edges = bursty_temporal_graph(4, n_ticks=15)
-        new = [(1, 2, 16), (2, 3, 16), (1, 3, 17), (1, 2, 17)]
-        tel = tel_of(edges)
-        for e in new:
-            tel.add_edge(*e)
-        res_dyn = otcd_query(tel, 2, 1, 17)
-        fresh = tel_of(edges + new, 1, 17)
-        res_fresh = otcd_query(fresh, 2, 1, 17)
-        assert res_dyn.ttis() == res_fresh.ttis()
-        assert {(c.n_vertices, c.n_edges) for c in res_dyn.cores} == {
-            (c.n_vertices, c.n_edges) for c in res_fresh.cores
-        }
+        grown = self.BASE + self.NEW
+        tel = window_tel(*append_edges(self.BASE, self.NEW), 1, 17)
+        res = otcd_query(tel, 2, 1, 17)
+        assert {core_edges(grown, c) for c in res.cores} == set(
+            ref.distinct_cores(grown, 2, 1, 17)
+        )
+
+    def test_earlier_signatures_keep_their_edges(self):
+        before = otcd_query(tel_of(self.BASE), 2, 1, 15)
+        assert before.cores
+        grown = self.BASE + self.NEW
+        assert [core_edges(grown, c) for c in before.cores] == [
+            core_edges(self.BASE, c) for c in before.cores
+        ]
+        again = window_tel(*append_edges(self.BASE, self.NEW), 1, 15)
+        assert otcd_query(again, 2, 1, 15).keys() == before.keys()
 
     def test_new_burst_creates_new_cores(self):
         edges = [(1, 2, t) for t in range(1, 6)]  # no core at all
-        tel = tel_of(edges)
-        assert otcd_query(tel, 2, 1, 5).cores == []
+        assert otcd_query(tel_of(edges), 2, 1, 5).cores == []
         burst = [(1, 2, 6), (2, 3, 6), (1, 3, 7)]
-        for e in burst:
-            tel.add_edge(*e)
-        res = otcd_query(tel, 2, 1, 7)
-        assert len(res.cores) >= 1
+        res = otcd_query(window_tel(*append_edges(edges, burst), 1, 7), 2, 1, 7)
+        assert {core_edges(edges + burst, c) for c in res.cores} == set(
+            ref.distinct_cores(edges + burst, 2, 1, 7)
+        )
+        assert res.cores
 
     def test_append_out_of_order_rejected(self):
-        tel = tel_of([(1, 2, 5)])
-        with pytest.raises(ValueError):
-            tel.add_edge(2, 3, 3)
+        arrays = append_edges([(1, 2, 5)], [(2, 3, 3)])
+        with pytest.raises(ValueError, match="sorted"):
+            window_tel(*arrays, 1, 5)

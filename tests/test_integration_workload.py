@@ -4,8 +4,9 @@ TCD, OTCD and the one-row distributed anchor task must agree exactly."""
 import pytest
 
 from repro.core.otcd import otcd_query, tcd_query
+from repro.datasets.temporal import edge_arrays
 from repro.experiments.queries import selected_queries
-from repro.experiments.tables import query_edges, query_tel
+from repro.experiments.tables import query_tel
 from repro.phc.baseline import iphc_query
 from repro.phc.index import build_phc_index
 
@@ -20,7 +21,7 @@ def test_three_algorithms_agree_on_workload(qid):
     tel = query_tel(q, sf=SF)
     r_tcd = tcd_query(tel, q.k, q.Ts, q.Te)
     r_otcd = otcd_query(tel, q.k, q.Ts, q.Te)
-    edges = query_edges(q, sf=SF)
+    edges = list(zip(*edge_arrays(q.dataset, SF)))
     index = build_phc_index(edges, q.k, q.Ts, q.Te)
     r_base = iphc_query(edges, index, q.k, q.Ts, q.Te)
     assert r_tcd.keys() == r_otcd.keys() == r_base.keys()

@@ -11,7 +11,7 @@ from repro.core.tcd import tcd_operation
 from repro.core.tel import TEL
 
 from . import reference as ref
-from .util import core_edges, tel_of
+from .util import core_edges, tel_edges, tel_of
 
 edge_st = st.tuples(
     st.integers(0, 7), st.integers(0, 7), st.integers(1, 6)
@@ -51,7 +51,7 @@ def test_tcd_operation_equals_reference(edges, k, ts, te, min_strength):
         ts, te = te, ts
     tel = tel_of(edges)
     tcd_operation(tel, k, ts, te, min_strength=min_strength)
-    assert tel.edges() == ref.temporal_kcore(
+    assert tel_edges(edges, tel) == ref.temporal_kcore(
         edges, k, ts, te, min_strength=min_strength
     )
 
@@ -82,7 +82,7 @@ def test_otcd_ttis_are_unique_and_tight(edges, k):
 
 
 op_st = st.one_of(
-    # (op, handle, ...): a TCD operation, a copy, or an append.
+    # (op, handle, ...): a TCD operation or a copy.
     st.tuples(
         st.just("tcd"),
         st.integers(0, 3),
@@ -93,22 +93,16 @@ op_st = st.one_of(
         st.sampled_from([False, True, True]),  # truncate by a k=0 call first
     ),
     st.tuples(st.just("copy"), st.integers(0, 3)),
-    st.tuples(
-        st.just("add"), st.integers(0, 3), st.integers(0, 7), st.integers(0, 7),
-        st.integers(0, 1),
-    ),
 )
 
 
-def check_views(tel, model):
-    """``tel`` represents exactly the multigraph ``model`` (edge triples),
-    and its views bounded by the live time range equal full scans."""
+def check_views(tel, model, edges):
+    """``tel`` represents exactly the multigraph ``model`` (edge triples;
+    ids are positions in ``edges``), and its views bounded by the live
+    time range equal full scans."""
     full = frozenset(compress(tel.ix.ids, tel.alive))
     assert tel.signature() == full
-    assert tel.edges() == sorted(
-        (tel.edge_u[e], tel.edge_v[e], tel.edge_t[e]) for e in full
-    )
-    assert tel.edges() == sorted(model)
+    assert tel_edges(edges, tel) == sorted(model)
     assert tel.n_edges == len(model)
     nbrs = {}
     for u, v, _ in model:
@@ -134,24 +128,20 @@ def check_views(tel, model):
 def test_operation_sequences_match_reference(edges, ops, dropped):
     """Any sequence of TCD operations (``k`` = 0, rising, falling, above
     every degree; single-tick windows; link strength; each optionally
-    preceded by a truncating ``k=0`` call), ``copy()`` and
-    ``add_edge`` (parallel edges, self-loops) on TELs sharing one index
-    matches ``reference.temporal_kcore`` applied to each TEL's graph: no
-    call sequence drops a peel candidate or leaks state between copies.
-    The TEL indexes every edge (``range`` ids) or, given ``dropped``, the
-    edges whose ids are not in it (a list of ids)."""
-    arrays = tuple(list(x) for x in zip(*edges)) if edges else ([], [], [])
-    us, vs, ts = (list(a) for a in arrays)
-    if dropped is None:
-        tel = TEL(us, vs, ts)
-    else:
-        tel = TEL(us, vs, ts, [i for i in range(len(us)) if i not in dropped])
-        edges = [e for i, e in enumerate(edges) if i not in dropped]
-    last_t = ts[-1] if ts else 1
-    handles = [[tel, [e for e in edges if e[0] != e[1]], last_t]]
+    preceded by a truncating ``k=0`` call) and ``copy()`` on TELs
+    sharing one index matches ``reference.temporal_kcore`` applied to
+    each TEL's graph: no call sequence drops a peel candidate or leaks
+    state between copies. Given ``dropped``, the edges with those ids
+    become self-loops: they keep their ids but are not indexed."""
+    if dropped:
+        edges = [
+            (u, u if i in dropped else v, t) for i, (u, v, t) in enumerate(edges)
+        ]
+    tel = TEL(*(list(x) for x in zip(*edges)))
+    handles = [[tel, [e for e in edges if e[0] != e[1]]]]
     for op, i, *args in ops:
         h = handles[i % len(handles)]
-        tel, model, last_t = h
+        tel, model = h
         if op == "tcd":
             # Windows shrink the TEL's TTI, as the sweep's operations do;
             # they may end up empty or a single tick.
@@ -162,15 +152,7 @@ def test_operation_sequences_match_reference(edges, ops, dropped):
                 tcd_operation(tel, 0, lo, hi)
             tcd_operation(tel, k, lo, hi, min_strength=sigma)
             h[1] = ref.temporal_kcore(model, k, lo, hi, min_strength=sigma)
-        elif op == "copy":
-            handles.append([tel.copy(), list(model), last_t])
         else:
-            u, v, dt = args
-            e = tel.add_edge(u, v, last_t + dt)
-            assert e == len(tel.edge_u) - 1
-            h[2] = last_t + dt
-            if u != v:
-                model.append((u, v, last_t + dt))
-        for other, m, _ in handles:
-            check_views(other, m)
-    assert (us, vs, ts) == arrays  # appends never grow shared arrays
+            handles.append([tel.copy(), list(model)])
+        for other, m in handles:
+            check_views(other, m, edges)

@@ -1,15 +1,17 @@
 """Unit tests for the TEL data structure (paper §5.1, Table 1)."""
 import pytest
 
-from repro.core.tcd import tcd_operation
+from repro.core.tcd import tcd_operation, window_tel
 from repro.core.tel import TEL
 
-from .util import random_temporal_graph, tel_of
+from .util import append_edges, random_temporal_graph, tel_edges, tel_of
+
+# (u, v, t): a triangle at t=1..2 plus a pendant at t=3.
+SIMPLE = [(1, 2, 1), (2, 3, 1), (1, 3, 2), (3, 4, 3)]
 
 
 def simple_tel():
-    # (u, v, t): a triangle at t=1..2 plus a pendant at t=3.
-    return TEL.from_edges([(1, 2, 1), (2, 3, 1), (1, 3, 2), (3, 4, 3)])
+    return TEL.from_edges(SIMPLE)
 
 
 class TestConstruction:
@@ -38,13 +40,14 @@ class TestConstruction:
 
     def test_edges_sorted_view(self):
         tel = simple_tel()
-        assert tel.edges() == [(1, 2, 1), (1, 3, 2), (2, 3, 1), (3, 4, 3)]
+        assert tel_edges(SIMPLE, tel) == [(1, 2, 1), (1, 3, 2), (2, 3, 1), (3, 4, 3)]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_n_edges_matches_alive(self, seed):
-        tel = tel_of(random_temporal_graph(seed))
+        edges = random_temporal_graph(seed)
+        tel = tel_of(edges)
         assert tel.n_edges == len(tel.signature())
-        assert tel.n_edges == len(tel.edges())
+        assert tel.n_edges == len(tel_edges(edges, tel))
 
 
 class TestDelEdge:
@@ -90,69 +93,70 @@ class TestDelEdge:
             alive = tel.signature()
             assert tel.n_edges == len(alive)
             # Every listed timestamp has an alive edge, and vice versa.
-            assert tel.timestamps() == sorted({tel.edge_t[x] for x in alive})
+            assert tel.timestamps() == sorted({edges[x][2] for x in alive})
             if alive:
-                tmin = min(tel.edge_t[x] for x in alive)
-                tmax = max(tel.edge_t[x] for x in alive)
+                tmin = min(edges[x][2] for x in alive)
+                tmax = max(edges[x][2] for x in alive)
                 assert tel.get_tti() == (tmin, tmax)
             else:
                 assert tel.get_tti() is None
 
 
 class TestAddEdge:
+    """The paper's ``add_edge`` (§6.1): an edge appends, in time order, to
+    the caller's edge arrays, and the next TEL cut from them holds it."""
+
+    @staticmethod
+    def appended(*new, edges=SIMPLE, ts=1, te=9):
+        return window_tel(*append_edges(edges, new), ts, te)
+
     def test_append_new_timestamp(self):
-        tel = simple_tel()
-        tel.add_edge(4, 1, 5)
+        tel = self.appended((4, 1, 5))
         assert tel.n_edges == 5
         assert tel.get_tti() == (1, 5)
         assert tel.timestamps() == [1, 2, 3, 5]
+        assert tel.signature() == set(range(5))
 
     def test_append_same_timestamp(self):
-        tel = simple_tel()
-        tel.add_edge(4, 1, 3)
+        tel = self.appended((4, 1, 3))
         assert tel.get_tti() == (1, 3)
-        assert [t for _, _, t in tel.edges()].count(3) == 2
+        assert tel_edges(SIMPLE + [(4, 1, 3)], tel)[-2:] == [(3, 4, 3), (4, 1, 3)]
 
     def test_append_into_empty(self):
-        tel = TEL([], [], [])
-        tel.add_edge(1, 2, 7)
+        tel = self.appended((1, 2, 7), edges=[])
         assert tel.get_tti() == (7, 7)
         assert tel.degrees() == {1: 1, 2: 1}
 
     def test_append_rejects_past_timestamps(self):
-        tel = simple_tel()
-        with pytest.raises(ValueError):
-            tel.add_edge(1, 2, 2)
+        with pytest.raises(ValueError, match="sorted"):
+            self.appended((1, 2, 2))
 
     def test_append_updates_degree(self):
-        tel = simple_tel()
-        tel.add_edge(1, 4, 5)
+        tel = self.appended((1, 4, 5))
         assert tel.degrees()[1] == 3
         assert tel.degrees()[4] == 2
 
-
     def test_append_below_k_is_peeled(self):
-        """A vertex appended below the TEL's current ``k`` joins the
-        worklist, so the next operation at that ``k`` peels it."""
+        """A pendant vertex appended to a 2-core is peeled by the next
+        operation at ``k = 2`` on the TEL cut again."""
         triangle = [(1, 2, 1), (2, 3, 1), (1, 3, 1)]
-        tel = TEL.from_edges(triangle)
-        tcd_operation(tel, 2, 1, 5)
-        tel.add_edge(3, 4, 2)
+        tel = self.appended((3, 4, 2), edges=triangle, te=5)
         assert tel.vertices() == {1, 2, 3, 4}
         tcd_operation(tel, 2, 1, 5)
-        assert tel.edges() == sorted(triangle)
+        assert tel_edges(triangle, tel) == sorted(triangle)
 
 
 class TestPeelWorklist:
     def test_truncation_at_k0_keeps_peel_candidates(self):
         """A ``k=0`` call (truncation only) between two calls at ``k=2``
         keeps the vertices it pushes below 2 for the next call."""
-        tel = TEL.from_edges([(1, 2, 1), (2, 3, 2), (1, 3, 2), (3, 4, 2), (4, 1, 3)])
+        edges = [(1, 2, 1), (2, 3, 2), (1, 3, 2), (3, 4, 2), (4, 1, 3)]
+        tel = TEL.from_edges(edges)
         tcd_operation(tel, 2, 1, 3)
         assert tel.n_edges == 5
         tcd_operation(tel, 0, 2, 3)  # drops (1, 2): 2 now has one neighbour
         tcd_operation(tel, 2, 2, 3)
-        assert tel.edges() == [(1, 3, 2), (3, 4, 2), (4, 1, 3)]
+        assert tel_edges(edges, tel) == [(1, 3, 2), (3, 4, 2), (4, 1, 3)]
 
     def test_rising_k_rescans(self):
         tel = TEL.from_edges([(1, 2, 1), (2, 3, 1), (1, 3, 1), (3, 4, 1), (4, 1, 1)])
@@ -180,7 +184,7 @@ class TestCopy:
     def test_copy_equivalence_random(self, seed):
         tel = tel_of(random_temporal_graph(seed))
         cp = tel.copy()
-        assert cp.edges() == tel.edges()
+        assert cp.signature() == tel.signature()
         assert cp.degrees() == tel.degrees()
         assert cp.timestamps() == tel.timestamps()
 
@@ -189,7 +193,7 @@ class TestWindowTel:
     def test_window_restricts_edges(self):
         edges = [(1, 2, 1), (2, 3, 5), (1, 3, 9)]
         tel = tel_of(edges, 2, 8)
-        assert tel.edges() == [(2, 3, 5)]
+        assert tel_edges(edges, tel) == [(2, 3, 5)]
 
     def test_window_keeps_global_ids(self):
         edges = [(1, 2, 1), (2, 3, 5), (1, 3, 9)]

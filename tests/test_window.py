@@ -1,5 +1,5 @@
 """The input model (time-sorted edge arrays, ids = positions, self-loops
-ignored, shared arrays never mutated) and the binary-search window cut
+ignored, cached arrays never mutated) and the binary-search window cut
 built on it."""
 import math
 from collections.abc import Sequence
@@ -17,7 +17,7 @@ from repro.phc.baseline import iphc_query
 from repro.phc.index import build_phc_index
 
 from . import reference as ref
-from .util import SELF_LOOP_GRAPHS, core_edges, tel_of
+from .util import SELF_LOOP_GRAPHS, append_edges, core_edges, tel_of
 
 sorted_edges_st = st.lists(
     st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 9)).filter(
@@ -39,7 +39,7 @@ def test_window_equals_scan(edges, ts, te):
     assert tel.signature() == {e for e, t in enumerate(tts) if ts <= t <= te}
 
 
-VIEWS = ("signature", "edges", "vertices", "degrees", "timestamps", "get_tti",
+VIEWS = ("signature", "vertices", "degrees", "timestamps", "get_tti",
          "n_vertices", "is_empty")
 
 
@@ -54,18 +54,21 @@ VIEWS = ("signature", "edges", "vertices", "degrees", "timestamps", "get_tti",
 def test_copy_equals_rebuild(edges, k, ts, te, k2):
     """After any TCD operation, ``copy()`` equals a rebuild over the alive
     edges in every public view, and both answer a further operation alike
-    (the copy's worklist loses no peel candidate)."""
+    (the copy's worklist loses no peel candidate). The rebuild turns the
+    dead edges into self-loops: they keep their ids but are not indexed."""
     us, vs, tts = arrays_of(edges)
     tel = TEL(us, vs, tts)
     tcd_operation(tel, k, min(ts, te), max(ts, te))
     cp = tel.copy()
-    rebuilt = TEL(us, vs, tts, eids=tel.signature())
+    alive = tel.signature()
+    loops = [v if e in alive else u for e, (u, v) in enumerate(zip(us, vs))]
+    rebuilt = TEL(us, loops, tts)
     for f in VIEWS:
         assert getattr(cp, f)() == getattr(rebuilt, f)(), f
     assert cp.n_edges == rebuilt.n_edges
     for x in (cp, rebuilt):
         tcd_operation(x, k2, min(ts, te), max(ts, te))
-    assert cp.edges() == rebuilt.edges()
+    assert cp.signature() == rebuilt.signature()
 
 
 class CountingTimes(Sequence):
@@ -79,6 +82,8 @@ class CountingTimes(Sequence):
         return self.n
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self.n))]
         self.reads += 1
         if not 0 <= i < self.n:
             raise IndexError(i)
@@ -108,13 +113,13 @@ def test_out_of_order_cut_raises():
     "us, vs, ts, eids",
     [
         ([1, 2, 3], [2, 3, 4], [5, 1, 2], None),
-        ([1, 2, 3], [2, 3, 4], [1, 2, 2], [2, 0, 1]),  # any id order is fine
-        ([1, 2, 3], [2, 3, 4], [1, 3, 2], [0, 2]),
-        ([1, 2, 3], [2, 3, 4], [1, 3, 2], [1, 2]),
+        ([1, 2, 3], [2, 3, 4], [1, 2, 2], range(1, 3)),
+        ([1, 2, 3], [2, 3, 4], [1, 3, 2], range(0, 2)),
+        ([1, 2, 3], [2, 3, 4], [1, 3, 2], range(1, 3)),
     ],
 )
 def test_tel_checks_time_order(us, vs, ts, eids):
-    ids = sorted(eids if eids is not None else range(len(ts)))
+    ids = eids if eids is not None else range(len(ts))
     if all(ts[a] <= ts[b] for a, b in zip(ids, ids[1:])):
         assert TEL(us, vs, ts, eids=eids).signature() == set(ids)
     else:
@@ -136,19 +141,16 @@ def test_tel_rejects_unsorted_edge_list():
 
 
 def test_append_leaves_shared_arrays_alone():
-    """``add_edge`` on a window TEL copies the cached dataset arrays
-    instead of growing them, so later windows cut from them stay right."""
+    """A dynamic append (§6.1) grows the caller's copy of the cached
+    dataset arrays, never the cache, so later windows cut from the cache
+    stay right."""
     sf = 0.1
     us, vs, ts = edge_arrays("collegemsg", sf)
-    before = (list(us), list(vs), list(ts))
     T0, t_last = ts[-100], ts[-1]
-    tel = window_tel(us, vs, ts, T0, t_last)
     new = [(0, 1, t_last + 1), (1, 2, t_last + 1)]
-    for e in new:
-        tel.add_edge(*e)
-    otcd_query(tel, 2, T0, t_last + 1)
-    assert len(tel.edge_u) == len(before[0]) + 2
-    assert edge_arrays("collegemsg", sf) == before
+    grown = append_edges(list(zip(us, vs, ts)), new)
+    otcd_query(window_tel(*grown, T0, t_last + 1), 2, T0, t_last + 1)
+    assert len(edge_arrays("collegemsg", sf)[0]) == len(grown[0]) - 2
 
     pdf = generate_pdf(DATASETS["collegemsg"].scaled(sf))
     fresh = pdf["u"].tolist(), pdf["v"].tolist(), pdf["t"].tolist()
@@ -156,17 +158,6 @@ def test_append_leaves_shared_arrays_alone():
     got = otcd_query(window_tel(us, vs, ts, Ts, Te), 2, Ts, Te)
     want = otcd_query(window_tel(*fresh, Ts, Te), 2, Ts, Te)
     assert got.keys() == want.keys()
-
-
-def test_copy_then_append_keeps_both_apart():
-    tel = TEL.from_edges([(1, 2, 1), (2, 3, 1), (1, 3, 2)])
-    tel.add_edge(3, 4, 3)
-    cp = tel.copy()
-    tel.add_edge(4, 5, 4)
-    cp.add_edge(4, 1, 5)
-    assert len(tel.edge_t) == len(cp.edge_t) == 5
-    assert tel.edges()[-1] == (4, 5, 4) and (4, 5, 4) not in cp.edges()
-    assert (4, 1, 5) in cp.edges() and (4, 1, 5) not in tel.edges()
 
 
 def check_driver_implementations(edges, k):
@@ -205,8 +196,10 @@ def test_random_self_loops_ignored_by_driver_implementations(edges, k):
 
 
 def test_self_loop_append_takes_id_but_not_indexed():
-    tel = tel_of(SELF_LOOP_GRAPHS[1])
-    e = tel.add_edge(5, 5, 4)
-    assert e == len(SELF_LOOP_GRAPHS[1])
+    edges = SELF_LOOP_GRAPHS[1]
+    us, vs, ts = append_edges(edges, [(5, 5, 4)])
+    tel = window_tel(us, vs, ts, 1, 4)
+    e = len(edges)
+    assert (us[e], vs[e], ts[e]) == (5, 5, 4)
     assert e not in tel.signature() and 5 not in tel.vertices()
     assert tel.get_tti() == (1, 3)

@@ -78,10 +78,30 @@ def tel_of(edges: list[Edge], ts: int | None = None, te: int | None = None) -> T
     return window_tel(us, vs, tts, ts, te)
 
 
+def append_edges(
+    edges: Sequence[Edge], new: Sequence[Edge]
+) -> tuple[list[int], list[int], list[int]]:
+    """Edge arrays ``(us, vs, ts)`` of ``edges`` with ``new`` appended in
+    order, unchecked: the dynamic-graph update of §6.1 appends to arrays
+    its caller owns, and the next query cuts its window from them."""
+    us, vs, ts = [], [], []
+    for u, v, t in [*edges, *new]:
+        us.append(u)
+        vs.append(v)
+        ts.append(t)
+    return us, vs, ts
+
+
 def core_edges(edges: Sequence[Edge], rec: CoreRecord) -> tuple[Edge, ...]:
     """A result core's edges as sorted ``(u, v, t)`` triples: signatures
     are global edge ids, and an id is a position in ``edges``."""
     return tuple(sorted(edges[e] for e in rec.signature))
+
+
+def tel_edges(edges: Sequence[Edge], tel: TEL) -> list[Edge]:
+    """A TEL's alive edges as sorted ``(u, v, t)`` triples, read through
+    its signature: ids are positions in ``edges``."""
+    return sorted(edges[e] for e in tel.signature())
 
 
 def edges_pdf(edges: list[Edge]) -> pd.DataFrame:
