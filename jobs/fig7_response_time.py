@@ -4,10 +4,10 @@ import pandas as pd
 
 from repro.experiments.tables import fig7, print_table
 
-from _common import run_cli
+from _common import cli_sf
 
 
-def main(spark, *, sf: float = 1.0) -> pd.DataFrame:
+def main(*, sf: float = 1.0) -> pd.DataFrame:
     df = fig7(sf=sf)
     print_table(df, f"Figure 7 — response time comparison (sf={sf})")
     gm = (df["TCD (s)"] / df["OTCD (s)"]).prod() ** (1 / len(df))
@@ -17,4 +17,4 @@ def main(spark, *, sf: float = 1.0) -> pd.DataFrame:
 
 
 if __name__ == "__main__":
-    run_cli(main)
+    main(sf=cli_sf())

@@ -3,14 +3,14 @@ import pandas as pd
 
 from repro.experiments.tables import print_table, table5
 
-from _common import run_cli
+from _common import cli_sf
 
 
-def main(spark, *, sf: float = 1.0) -> pd.DataFrame:
+def main(*, sf: float = 1.0) -> pd.DataFrame:
     df = table5(sf=sf)
     print_table(df, f"Table 5 — TEL memory consumption (sf={sf})")
     return df
 
 
 if __name__ == "__main__":
-    run_cli(main)
+    main(sf=cli_sf())

@@ -193,17 +193,6 @@ class TEL:
 
     # -- factories ---------------------------------------------------------
 
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int, int]]) -> "TEL":
-        """Build a TEL from time-sorted ``(u, v, t)`` triples (edge id =
-        position in ``edges``)."""
-        us, vs, ts = [], [], []
-        for u, v, t in edges:
-            us.append(u)
-            vs.append(v)
-            ts.append(t)
-        return cls(us, vs, ts)
-
     def copy(self) -> "TEL":
         """An independent TEL over the currently-alive edges: shares the
         index, copies the per-copy counters. Used by (O)TCD to start each

@@ -97,7 +97,7 @@ DATASETS: dict[str, DatasetSpec] = {
 }
 
 
-def _community_layout(spec: DatasetSpec, rng: np.random.Generator):
+def _community_layout(spec: DatasetSpec):
     """Zipf-ish community sizes summing to n_vertices; vertices are
     contiguous ids per community. Returns (starts, sizes)."""
     # Guard: at tiny scales the configured community count may exceed
@@ -115,7 +115,7 @@ def burst_schedule(spec: DatasetSpec) -> pd.DataFrame:
     """The deterministic burst plan: one row per burst with its
     community, centre tick, width, member count and edge budget."""
     rng = np.random.default_rng(spec.seed)
-    starts, sizes = _community_layout(spec, rng)
+    starts, sizes = _community_layout(spec)
     n_burst_edges = int(spec.n_edges * spec.burst_fraction)
     comm = rng.integers(0, len(sizes), spec.n_bursts)
     # Evenly spaced centres with deterministic jitter: real activity
@@ -176,7 +176,7 @@ def generate_pdf(spec: DatasetSpec) -> pd.DataFrame:
     (stable), which is the arrival order a streaming ingest would see and
     the input model of :mod:`repro.core.tel` (edge id = row position)."""
     rng = np.random.default_rng(spec.seed)
-    starts, sizes = _community_layout(spec, rng)
+    starts, sizes = _community_layout(spec)
     sched = burst_schedule(spec)
 
     us, vs, ts = [], [], []

@@ -16,11 +16,13 @@ paper's full offline index — documented in DESIGN.md.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from ..core.otcd import check_query, sweep
 from ..core.tcd import tcd_operation  # noqa: F401  (patched by perfbench's traced run)
-from ..core.tcd import window_tel
+from ..core.tcd import window_ids
+from ..core.tel import TEL
 
 Edge = tuple[int, int, int]
 
@@ -32,16 +34,18 @@ def build_phc_index(edges: Sequence[Edge], k: int, Ts: int, Te: int) -> PHCIndex
     """Core times for every anchor ``ts`` in ``[Ts, Te]`` at coreness
     ``k``; a vertex absent from ``index[ts]`` is never in the k-core
     within ``[ts, Te]``. ``edges`` is sorted by ``t`` (the input model of
-    :mod:`repro.core.tel`).
+    :mod:`repro.core.tel`); only the window, cut by binary search as in
+    ``iphc_query``, is read.
 
     This is the offline precomputation whose cost the paper's Figure 7
     excludes from baseline response time. Raises ``ValueError`` outside
     the input model (``k >= 1``, ``Ts <= Te``).
     """
     check_query(k, Ts, Te)
-    us, vs, tts = zip(*edges) if edges else ((), (), ())
+    ids = window_ids(edges, Ts, Te, key=itemgetter(2))
+    us, vs, tts = zip(*edges[ids.start:ids.stop]) if ids else ((), (), ())
     index: PHCIndex = {ts: {} for ts in range(Ts, Te + 1)}
-    window = window_tel(us, vs, tts, Ts, Te)
+    window = TEL(us, vs, tts)  # the index keeps no edge ids
     row = n = members = None
     for ts, te, core in sweep(window, k, Ts, Te, prune=False):
         # A row's core only loses vertices as te descends, so an unchanged

@@ -1,10 +1,9 @@
 """Distributed (Catalyst / mapInPandas) implementations."""
 from .decomposition import peel, temporal_kcore_df
-from .graph_io import EDGE_SCHEMA, degrees, detemporalized, graph_stats, projected
+from .graph_io import degrees, detemporalized, graph_stats, projected
 from .tcq import distributed_tcq, distributed_tcq_pdf
 
 __all__ = [
-    "EDGE_SCHEMA",
     "projected",
     "detemporalized",
     "degrees",

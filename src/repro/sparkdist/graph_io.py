@@ -11,8 +11,6 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-EDGE_SCHEMA = "u long, v long, t long"
-
 
 def projected(edges: DataFrame, ts: int, te: int) -> DataFrame:
     """The projected graph ``G_[ts,te]``: edges with ``t`` in the window,

@@ -49,11 +49,12 @@ class TestQueries:
     def test_deterministic(self):
         assert selected_queries(sf=SF) == selected_queries(sf=SF)
 
-    def test_queries_are_valid(self):
+    @pytest.mark.parametrize("sf", [SF, 0.1])
+    def test_queries_are_valid(self, sf):
         """The paper requires every selected query to return at least
         one core ("verified to be valid"); bursts guarantee it."""
-        for q in selected_queries(sf=SF):
-            res = otcd_query(query_tel(q, sf=SF), q.k, q.Ts, q.Te)
+        for q in selected_queries(sf=sf):
+            res = otcd_query(query_tel(q, sf=sf), q.k, q.Ts, q.Te)
             assert len(res.cores) >= 1, f"query {q.qid} has no results"
 
     def test_paper_counts_table_has_twenty(self):
@@ -102,7 +103,8 @@ class TestTables:
 
 
 class TestJobs:
-    """Each spark-submit entrypoint runs end-to-end at tiny scale."""
+    """Each ``jobs/`` entrypoint runs end-to-end at tiny scale; only the
+    Spark jobs get a session."""
 
     @pytest.fixture(autouse=True)
     def _jobs_on_path(self, monkeypatch):
@@ -127,25 +129,25 @@ class TestJobs:
         assert (df["|E|"] > 0).all()
         assert (df["Span(days)"] > 0).all()
 
-    def test_table3_job(self, spark):
+    def test_table3_job(self):
         import table3_queries
 
-        assert len(table3_queries.main(spark, sf=SF)) == 20
+        assert len(table3_queries.main(sf=SF)) == 20
 
-    def test_table4_job(self, spark):
+    def test_table4_job(self):
         import table4_pruning
 
-        assert len(table4_pruning.main(spark, sf=SF)) == 4
+        assert len(table4_pruning.main(sf=SF)) == 4
 
-    def test_table5_job(self, spark):
+    def test_table5_job(self):
         import table5_memory
 
-        assert len(table5_memory.main(spark, sf=SF)) == 7
+        assert len(table5_memory.main(sf=SF)) == 7
 
-    def test_fig7_job(self, spark):
+    def test_fig7_job(self):
         import fig7_response_time
 
-        assert len(fig7_response_time.main(spark, sf=SF)) == 20
+        assert len(fig7_response_time.main(sf=SF)) == 20
 
     def test_distributed_tcq_job(self, spark):
         import distributed_tcq

@@ -11,7 +11,7 @@ SIMPLE = [(1, 2, 1), (2, 3, 1), (1, 3, 2), (3, 4, 3)]
 
 
 def simple_tel():
-    return TEL.from_edges(SIMPLE)
+    return tel_of(SIMPLE)
 
 
 class TestConstruction:
@@ -29,7 +29,7 @@ class TestConstruction:
 
     def test_degrees_count_distinct_neighbours(self):
         # Parallel edges must not inflate the degree.
-        tel = TEL.from_edges([(1, 2, 1), (1, 3, 1), (1, 2, 2), (1, 2, 3)])
+        tel = tel_of([(1, 2, 1), (1, 3, 1), (1, 2, 2), (1, 2, 3)])
         assert tel.degrees() == {1: 2, 2: 1, 3: 1}
 
     def test_empty(self):
@@ -66,7 +66,7 @@ class TestDelEdge:
         assert tel.degrees()[3] == 2
 
     def test_parallel_edge_del_keeps_degree(self):
-        tel = TEL.from_edges([(1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 2, 2)])
+        tel = tel_of([(1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 2, 2)])
         tel.del_edge(3)  # one of the two parallel (1,2) edges
         assert tel.degrees()[1] == 2 and tel.degrees()[2] == 2
 
@@ -151,7 +151,7 @@ class TestPeelWorklist:
         """A ``k=0`` call (truncation only) between two calls at ``k=2``
         keeps the vertices it pushes below 2 for the next call."""
         edges = [(1, 2, 1), (2, 3, 2), (1, 3, 2), (3, 4, 2), (4, 1, 3)]
-        tel = TEL.from_edges(edges)
+        tel = tel_of(edges)
         tcd_operation(tel, 2, 1, 3)
         assert tel.n_edges == 5
         tcd_operation(tel, 0, 2, 3)  # drops (1, 2): 2 now has one neighbour
@@ -159,7 +159,7 @@ class TestPeelWorklist:
         assert tel_edges(edges, tel) == [(1, 3, 2), (3, 4, 2), (4, 1, 3)]
 
     def test_rising_k_rescans(self):
-        tel = TEL.from_edges([(1, 2, 1), (2, 3, 1), (1, 3, 1), (3, 4, 1), (4, 1, 1)])
+        tel = tel_of([(1, 2, 1), (2, 3, 1), (1, 3, 1), (3, 4, 1), (4, 1, 1)])
         tcd_operation(tel, 2, 1, 1)
         assert tel.n_edges == 5
         tcd_operation(tel, 3, 1, 1)

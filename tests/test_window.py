@@ -100,6 +100,29 @@ def test_window_reads_window_plus_log(ts, te):
     assert times.reads <= w + 4 * math.log2(n)
 
 
+class CountingEdges(CountingTimes):
+    """``[(i, i + 1, i // 10) for i in range(n)]`` that counts item reads."""
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return super().__getitem__(i)
+        return (i, i + 1, super().__getitem__(i))
+
+
+@pytest.mark.parametrize("ts, te", [(0, 0), (5_000, 5_009), (9_990, 9_999)])
+def test_phc_index_reads_window_plus_log(ts, te):
+    """``build_phc_index`` cuts its window from the ``(u, v, t)`` list by
+    binary search: it reads the window's triples and O(log |E|) others."""
+    n = 10**5
+    edges = CountingEdges(n)
+    index = build_phc_index(edges, 1, ts, te)
+    w = (te - ts + 1) * 10
+    assert edges.reads <= w + 4 * math.log2(n)
+    window = range(10 * ts, 10 * ts + w)
+    assert set(index) == set(range(ts, te + 1))
+    assert set(index[ts]) == {x for i in window for x in (i, i + 1)}
+
+
 def test_out_of_order_cut_raises():
     us, vs = [1, 2, 3], [2, 3, 4]
     with pytest.raises(ValueError, match="sorted"):
@@ -131,13 +154,11 @@ def test_tel_checks_time_order(us, vs, ts, eids):
 def test_tel_rejects_non_integer_timestamps(ts):
     with pytest.raises(ValueError, match="integers"):
         TEL([1, 2], [2, 3], ts)
-    with pytest.raises(ValueError, match="integers"):
-        TEL.from_edges([(1, 2, ts[0]), (2, 3, ts[1])])
 
 
 def test_tel_rejects_unsorted_edge_list():
     with pytest.raises(ValueError, match="sorted"):
-        TEL.from_edges([(1, 2, 2), (2, 3, 1)])
+        TEL([1, 2], [2, 3], [2, 1])
 
 
 def test_append_leaves_shared_arrays_alone():
