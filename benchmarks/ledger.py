@@ -18,13 +18,13 @@ Suites:
 * ``fig7``: the 20 Table-3 queries at sf=1 through
   ``repro.experiments.tables.fig7``, which asserts that OTCD, TCD and iPHC
   return the same cores. One untimed warm-up pass, then 3 passes; per query
-  and algorithm the best and median seconds (``fig7`` rounds to 0.1 ms),
-  per algorithm the geometric mean of the per-query bests. The PHC-Index
+  and algorithm the best and median seconds, per algorithm the geometric
+  mean of the per-query bests. The PHC-Index
   build is offline in the paper and is reported on its own.
 * ``sweeps``: the Figure 9/12 shapes on CollegeMsg query 1 at sf=0.1: OTCD
   and TCD at k=2..6 and at spans of 1-4 days around the query's centre,
-  best of 3, each with its result count. The window's TEL is built outside
-  the timer.
+  each with its result count. The nine windows' TELs are built first,
+  outside the timer; then 3 passes each time OTCD and TCD at every point.
 """
 from __future__ import annotations
 
@@ -142,23 +142,6 @@ def sweeps() -> dict:
     q = selected_queries(sf=sf)[0]  # collegemsg query 1
     arrays = edge_arrays(q.dataset, sf)
 
-    def point(k: int, Ts: int, Te: int) -> dict:
-        tel = window_tel(*arrays, Ts, Te)
-        out = {"k": k, "Ts": Ts, "Te": Te}
-        keys = {}
-        for name, query in (("OTCD", otcd_query), ("TCD", tcd_query)):
-            seconds = []
-            for _ in range(REPEAT):
-                t0 = time.perf_counter()
-                res = query(tel, k, Ts, Te)
-                seconds.append(time.perf_counter() - t0)
-            out[name] = summary(seconds)
-            keys[name] = res.keys()
-        if keys["OTCD"] != keys["TCD"]:
-            raise RuntimeError(f"OTCD and TCD disagree at k={k}, [{Ts}, {Te}]")
-        out["cores"] = len(keys["OTCD"])
-        return out
-
     spec = DATASETS[q.dataset].scaled(sf)
     center = (q.Ts + q.Te) // 2
 
@@ -167,15 +150,38 @@ def sweeps() -> dict:
         Ts = max(1, center - span // 2)
         return Ts, min(spec.n_ticks, Ts + span - 1)
 
+    impact_of_k = [{"k": k, "Ts": q.Ts, "Te": q.Te} for k in range(2, 7)]
+    impact_of_span = []
+    for d in range(1, 5):
+        Ts, Te = span_window(d)
+        impact_of_span.append({"days": d, "k": q.k, "Ts": Ts, "Te": Te})
+    points = impact_of_k + impact_of_span
+    queries = (("OTCD", otcd_query), ("TCD", tcd_query))
+    # Every pass visits every point, so a slow stretch on the host spreads
+    # over the points instead of landing on one point's repeats.
+    tels = [window_tel(*arrays, p["Ts"], p["Te"]) for p in points]
+    seconds = {(i, name): [] for i in range(len(points)) for name, _ in queries}
+    keys = {}
+    for _ in range(REPEAT):
+        for i, (p, tel) in enumerate(zip(points, tels)):
+            for name, query in queries:
+                t0 = time.perf_counter()
+                res = query(tel, p["k"], p["Ts"], p["Te"])
+                seconds[i, name].append(time.perf_counter() - t0)
+                keys[i, name] = res.keys()
+    for i, p in enumerate(points):
+        if keys[i, "OTCD"] != keys[i, "TCD"]:
+            raise RuntimeError(f"OTCD and TCD disagree at {p}")
+        for name, _ in queries:
+            p[name] = summary(seconds[i, name])
+        p["cores"] = len(keys[i, "OTCD"])
     return append_entry(
         "sweeps",
         sf=sf,
         qid=q.qid,
         dataset=q.dataset,
-        impact_of_k=[point(k, q.Ts, q.Te) for k in range(2, 7)],
-        impact_of_span=[
-            {"days": d, **point(q.k, *span_window(d))} for d in range(1, 5)
-        ],
+        impact_of_k=impact_of_k,
+        impact_of_span=impact_of_span,
     )
 
 

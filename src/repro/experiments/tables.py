@@ -27,6 +27,14 @@ DATASET_ORDER = [
     "youtube", "dblp", "flickr",
     "collegemsg", "email-eu", "mathoverflow", "stackoverflow",
 ]
+TABLE4_QIDS = (1, 6, 11, 16)
+TABLE6_DATASET = "youtube"
+TABLE6_TOP_N = 9
+# Harnesses return raw seconds and ratios; print_table rounds these.
+PRINT_DECIMALS = {
+    "baseline (s)": 4, "TCD (s)": 4, "OTCD (s)": 4, "index build (s)": 4,
+    "TCD/OTCD": 1, "baseline/OTCD": 1, "scan_seconds": 1,
+}
 
 
 def query_tel(q: QuerySpec, *, sf: float = 1.0) -> TEL:
@@ -61,12 +69,12 @@ def table3(*, sf: float = 1.0) -> pd.DataFrame:
 
 # ---------------------------------------------------------------- Table 4
 
-def table4(*, sf: float = 1.0, qids: tuple[int, ...] = (1, 6, 11, 16)) -> pd.DataFrame:
+def table4(*, sf: float = 1.0) -> pd.DataFrame:
     """Pruning-rule effect (paper Table 4): trigger counts and pruned-
     cell percentages for the first query of each dataset."""
     queries = {q.qid: q for q in selected_queries(sf=sf)}
     rows = []
-    for qid in qids:
+    for qid in TABLE4_QIDS:
         q = queries[qid]
         res = otcd_query(query_tel(q, sf=sf), q.k, q.Ts, q.Te)
         s = res.stats
@@ -120,14 +128,12 @@ def table5(*, sf: float = 1.0) -> pd.DataFrame:
 
 # ---------------------------------------------------------------- Table 6
 
-def table6(
-    *, sf: float = 1.0, k: int = 10, dataset: str = "youtube", top_n: int = 9
-) -> pd.DataFrame:
+def table6(*, sf: float = 1.0, k: int = 10) -> pd.DataFrame:
     """Bursty communities (paper Table 6): run the full-span k-core scan
-    on the Youtube-like graph and report the ``top_n`` largest result
+    on the Youtube-like graph and report ``TABLE6_TOP_N`` of the result
     cores whose TTI span is at most one day, with their GMT dates."""
-    spec = DATASETS[dataset].scaled(sf)
-    us, vs, ts = edge_arrays(dataset, sf)
+    spec = DATASETS[TABLE6_DATASET].scaled(sf)
+    us, vs, ts = edge_arrays(TABLE6_DATASET, sf)
     tel = window_tel(us, vs, ts, 1, spec.n_ticks)
     t0 = time.perf_counter()
     res = otcd_query(tel, k, 1, spec.n_ticks, signatures=False)
@@ -139,8 +145,11 @@ def table6(
     # The paper lists nine *representative* <=1-day cores spanning four
     # orders of magnitude in size; sample evenly across the size-sorted
     # list so the spread is visible, not just the nine largest.
-    if len(one_day) > top_n:
-        idx = [round(i * (len(one_day) - 1) / (top_n - 1)) for i in range(top_n)]
+    if len(one_day) > TABLE6_TOP_N:
+        idx = [
+            round(i * (len(one_day) - 1) / (TABLE6_TOP_N - 1))
+            for i in range(TABLE6_TOP_N)
+        ]
         picked = [one_day[i] for i in idx]
     else:
         picked = one_day
@@ -155,7 +164,7 @@ def table6(
     df = pd.DataFrame(rows)
     df.attrs["total_cores"] = len(res.cores)
     df.attrs["one_day_cores"] = len(one_day)
-    df.attrs["scan_seconds"] = round(elapsed, 1)
+    df.attrs["scan_seconds"] = elapsed
     return df
 
 
@@ -201,20 +210,23 @@ def fig7(*, sf: float = 1.0, qids: tuple[int, ...] | None = None) -> pd.DataFram
                 "G": q.dataset,
                 "k": q.k,
                 "results": len(res_o.cores),
-                "baseline (s)": round(t_base, 4),
-                "TCD (s)": round(t_tcd, 4),
-                "OTCD (s)": round(t_otcd, 4),
-                "TCD/OTCD": round(t_tcd / max(t_otcd, 1e-9), 1),
-                "baseline/OTCD": round(t_base / max(t_otcd, 1e-9), 1),
-                "index build (s)": round(t_index, 4),
+                "baseline (s)": t_base,
+                "TCD (s)": t_tcd,
+                "OTCD (s)": t_otcd,
+                "TCD/OTCD": t_tcd / max(t_otcd, 1e-9),
+                "baseline/OTCD": t_base / max(t_otcd, 1e-9),
+                "index build (s)": t_index,
             }
         )
     return pd.DataFrame(rows)
 
 
 def print_table(df: pd.DataFrame, title: str) -> None:
-    """Human-readable dump used by the jobs/ entrypoints."""
+    """Human-readable dump used by the jobs/ entrypoints; timings are
+    rounded here (``PRINT_DECIMALS``), not in the returned frames."""
     print(f"\n== {title} ==")
-    print(df.to_string(index=False))
+    print(df.round(PRINT_DECIMALS).to_string(index=False))
     for key, val in df.attrs.items():
+        if key in PRINT_DECIMALS:
+            val = round(val, PRINT_DECIMALS[key])
         print(f"   [{key}: {val}]")

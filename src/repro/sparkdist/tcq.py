@@ -16,9 +16,11 @@ Strategy (DESIGN.md §2, "Layering decision"):
    Theorem 1 (each row's start core is induced directly from
    ``T^k_[Ts,Te]``); a block lacks only the pruning marks of earlier
    rows, so it evaluates a superset of the driver's cells in its rows.
-3. Cross-block duplicates (what pruning across blocks would skip on a
-   single machine) are removed by a distinct-by-TTI aggregation,
-   correct by TTI Equivalence (Property 2).
+3. The blocks' cores are collected to the driver, where cross-block
+   duplicates (what pruning across blocks would skip on a single
+   machine) are dropped by TTI, correct by TTI Equivalence (Property 2).
+   OTCD's output is small (one core per TTI), so this is one pandas
+   sort, not a shuffle.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from collections.abc import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from ..core.otcd import check_query
 from .decomposition import job_description, temporal_kcore_df
@@ -34,17 +35,18 @@ from .decomposition import job_description, temporal_kcore_df
 RESULT_SCHEMA = (
     "ts long, te long, tti_s long, tti_e long, n_vertices long, n_edges long"
 )
+COLUMNS = ["tti_s", "tti_e", "n_vertices", "n_edges", "first_ts", "first_te"]
 
 
-def distributed_tcq(
+def distributed_tcq_pdf(
     spark: SparkSession, edges: DataFrame, k: int, Ts: int, Te: int
-) -> DataFrame:
-    """All distinct temporal k-cores of ``[Ts, Te]`` as a DataFrame
-    ``(tti_s, tti_e, n_vertices, n_edges, first_ts, first_te)``.
-    ``first_ts`` is the first anchor row that induces the core, as in the
-    driver OTCD; ``first_te`` is the column at which its block first found
-    the core in that row, which can be larger than the driver's when PoL
-    marks from earlier blocks made the driver skip columns.
+) -> pd.DataFrame:
+    """All distinct temporal k-cores of ``[Ts, Te]`` as a pandas frame
+    ``(tti_s, tti_e, n_vertices, n_edges, first_ts, first_te)`` sorted by
+    TTI. ``first_ts`` is the first anchor row that induces the core, as in
+    the driver OTCD; ``first_te`` is the column at which its block first
+    found the core in that row, which can be larger than the driver's when
+    PoL marks from earlier blocks made the driver skip columns.
     """
     check_query(k, Ts, Te)
     # Each anchor task builds a TEL, which takes time-sorted input (the
@@ -54,10 +56,7 @@ def distributed_tcq(
             "t", kind="stable"
         )
     if core0.empty:
-        return spark.createDataFrame(
-            [], "tti_s long, tti_e long, n_vertices long, n_edges long, "
-                "first_ts long, first_te long",
-        )
+        return pd.DataFrame({c: pd.Series(dtype="int64") for c in COLUMNS})
     bc = spark.sparkContext.broadcast(
         (core0["u"].tolist(), core0["v"].tolist(), core0["t"].tolist())
     )
@@ -80,35 +79,16 @@ def distributed_tcq(
             columns=["ts", "te", "tti_s", "tti_e", "n_vertices", "n_edges"],
         )
 
-    per_block = spark.range(Ts, Te + 1).mapInPandas(anchor_block, RESULT_SCHEMA)
-    # Distinct-by-TTI; a TTI uniquely identifies the core (Property 2),
-    # so min over (ts, -te) reproduces schedule order (row-major with te
-    # descending means the first inducer has the smallest ts, then the
-    # largest te).
+    with job_description(spark.sparkContext, "anchor blocks"):
+        rows = (
+            spark.range(Ts, Te + 1).mapInPandas(anchor_block, RESULT_SCHEMA).toPandas()
+        )
+    # Schedule order is row-major with te descending, so within one TTI the
+    # first inducing cell has the smallest ts, then the largest te.
+    first = rows.sort_values(
+        ["tti_s", "tti_e", "ts", "te"], ascending=[True, True, True, False]
+    ).drop_duplicates(["tti_s", "tti_e"])
     return (
-        per_block.groupBy("tti_s", "tti_e")
-        .agg(
-            F.first("n_vertices").alias("n_vertices"),
-            F.first("n_edges").alias("n_edges"),
-            F.min(F.struct(F.col("ts"), (-F.col("te")).alias("neg_te")))
-            .alias("first_cell"),
-        )
-        .select(
-            "tti_s",
-            "tti_e",
-            "n_vertices",
-            "n_edges",
-            F.col("first_cell.ts").alias("first_ts"),
-            (-F.col("first_cell.neg_te")).alias("first_te"),
-        )
+        first.rename(columns={"ts": "first_ts", "te": "first_te"})[COLUMNS]
+        .reset_index(drop=True)
     )
-
-
-def distributed_tcq_pdf(
-    spark: SparkSession, edges: DataFrame, k: int, Ts: int, Te: int
-) -> pd.DataFrame:
-    """:func:`distributed_tcq` collected and canonically sorted."""
-    res = distributed_tcq(spark, edges, k, Ts, Te)
-    with job_description(spark.sparkContext, "anchor blocks + TTI dedupe"):
-        pdf = res.toPandas()
-    return pdf.sort_values(["tti_s", "tti_e"]).reset_index(drop=True)

@@ -100,6 +100,8 @@ class TestTables:
         assert len(df) == 2
         assert (df["results"] >= 1).all()
         assert (df["OTCD (s)"] > 0).all()
+        # Raw seconds: rounding is left to print_table.
+        assert any(t != round(t, 4) for t in df["OTCD (s)"])
 
 
 class TestJobs:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.otcd import otcd_query, tcd_query
 from repro.phc.baseline import iphc_query
 from repro.phc.index import build_phc_index
-from repro.sparkdist.tcq import distributed_tcq
+from repro.sparkdist.tcq import distributed_tcq_pdf
 
 from . import reference as ref
 from .util import bursty_temporal_graph, core_edges, random_temporal_graph, tel_of
@@ -123,4 +123,4 @@ def test_rejects_invalid_query(query, k, Ts, Te):
 def test_distributed_tcq_rejects_invalid_query(k, Ts, Te):
     # Validation runs before any Spark work, so no session is needed.
     with pytest.raises(ValueError):
-        distributed_tcq(None, None, k, Ts, Te)
+        distributed_tcq_pdf(None, None, k, Ts, Te)

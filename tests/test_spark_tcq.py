@@ -2,7 +2,7 @@
 import pytest
 from pyspark.errors import AnalysisException
 
-from repro.core.otcd import otcd_query
+from repro.core.otcd import otcd_query, tcd_query
 from repro.sparkdist.tcq import distributed_tcq_pdf
 
 from . import reference as ref
@@ -31,6 +31,8 @@ def test_distributed_tcq_first_cell_schedule_order(spark):
     edges = bursty_temporal_graph(3, n_ticks=14, burst_window=(5, 8))
     k, Ts, Te = 2, 1, 14
     want = {c.tti: (c.ts, c.te) for c in otcd_query(tel_of(edges, Ts, Te), k, Ts, Te).cores}
+    # TCD evaluates every cell, so its first cell per TTI is the schedule's.
+    first = {c.tti: (c.ts, c.te) for c in tcd_query(tel_of(edges, Ts, Te), k, Ts, Te).cores}
     got = distributed_tcq_pdf(spark, spark.createDataFrame(edges_pdf(edges)), k, Ts, Te)
     for row in got.itertuples(index=False):
         tti = (row.tti_s, row.tti_e)
@@ -38,6 +40,12 @@ def test_distributed_tcq_first_cell_schedule_order(spark):
         # that row when pruning skipped the earlier duplicate columns, so
         # only ts (the row) is directly comparable.
         assert want[tti][0] == row.first_ts
+        # A block's first column is never before the schedule's first cell,
+        # whatever the block boundaries, and the cell induces the core.
+        assert first[tti][0] == row.first_ts
+        assert first[tti][1] >= row.first_te
+        core = ref.temporal_kcore(edges, k, row.first_ts, row.first_te)
+        assert (min(t for *_, t in core), max(t for *_, t in core)) == tti
 
 
 def test_distributed_tcq_empty(spark):
@@ -128,6 +136,6 @@ def test_job_descriptions_restored(spark, monkeypatch, before, fails):
         assert rounds == [f"peel round {i}" for i in range(len(rounds))]
         assert len(rounds) >= 2
         assert labels[0] == "collect T^k"
-        assert "anchor blocks + TTI dedupe" in labels
+        assert "anchor blocks" in labels
     assert labels[-1] == before
     assert sc.getLocalProperty("spark.job.description") == before
