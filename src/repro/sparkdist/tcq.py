@@ -56,7 +56,7 @@ def distributed_tcq_pdf(
             "t", kind="stable"
         )
     if core0.empty:
-        return pd.DataFrame({c: pd.Series(dtype="int64") for c in COLUMNS})
+        return pd.DataFrame(columns=COLUMNS, dtype="int64")
     bc = spark.sparkContext.broadcast(
         (core0["u"].tolist(), core0["v"].tolist(), core0["t"].tolist())
     )
