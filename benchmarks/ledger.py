@@ -19,8 +19,8 @@ Suites:
   ``repro.experiments.tables.fig7``, which asserts that OTCD, TCD and iPHC
   return the same cores. One untimed warm-up pass, then 3 passes; per query
   and algorithm the best and median seconds, per algorithm the geometric
-  mean of the per-query bests. The PHC-Index
-  build is offline in the paper and is reported on its own.
+  mean of the per-query bests. The PHC-Index build is offline in the
+  paper and is reported on its own.
 * ``sweeps``: the Figure 9/12 shapes on CollegeMsg query 1 at sf=0.1: OTCD
   and TCD at k=2..6 and at spans of 1-4 days around the query's centre,
   each with its result count. The nine windows' TELs are built first,
