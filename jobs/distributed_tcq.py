@@ -5,7 +5,7 @@ for graphs whose TEL exceeds single-node memory."""
 import pandas as pd
 
 from repro.core.otcd import otcd_query
-from repro.datasets.temporal import generate_spark
+from repro.datasets.temporal import generate
 from repro.experiments.queries import selected_queries
 from repro.experiments.tables import print_table, query_tel
 from repro.sparkdist.tcq import distributed_tcq_pdf
@@ -19,7 +19,7 @@ def main(spark, *, sf: float = 1.0) -> pd.DataFrame:
     for q in selected_queries(sf=sf):
         picked.setdefault(q.dataset, q)  # first query of each dataset
     for q in picked.values():
-        edges_df = generate_spark(spark, q.dataset, sf=sf)
+        edges_df = spark.createDataFrame(generate(q.dataset, sf=sf))
         got = distributed_tcq_pdf(spark, edges_df, q.k, q.Ts, q.Te)
         want = otcd_query(query_tel(q, sf=sf), q.k, q.Ts, q.Te)
         ok = set(zip(got["tti_s"], got["tti_e"])) == want.ttis()

@@ -3,7 +3,7 @@
 Statistics are computed distributedly (Spark aggregations over the
 generated edge DataFrames) and printed next to the paper's values.
 """
-from repro.datasets.temporal import DATASETS, generate_spark
+from repro.datasets.temporal import DATASETS, generate
 from repro.experiments.tables import DATASET_ORDER, print_table
 from repro.sparkdist.graph_io import graph_stats
 
@@ -16,7 +16,7 @@ def main(spark, *, sf: float = 1.0) -> pd.DataFrame:
     rows = []
     for name in DATASET_ORDER:
         spec = DATASETS[name].scaled(sf)
-        stats = graph_stats(generate_spark(spark, name, sf=sf))
+        stats = graph_stats(spark.createDataFrame(generate(name, sf=sf)))
         rows.append(
             {
                 "Name": name,

@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,11 @@ class DatasetSpec:
 
     def scaled(self, sf: float) -> "DatasetSpec":
         """A proportionally smaller instance (for tests); keeps the tick
-        span so temporal structure (bursts vs background) is preserved."""
-        if sf >= 1.0:
+        span so temporal structure (bursts vs background) is preserved.
+        Raises ``ValueError`` unless ``0 < sf <= 1``."""
+        if not 0 < sf <= 1:
+            raise ValueError(f"scale factor must lie in (0, 1], got {sf}")
+        if sf == 1:
             return self
         n_vertices = max(30, int(self.n_vertices * sf))
         return replace(
@@ -167,8 +169,12 @@ def _pairs_within(
 
 @lru_cache(maxsize=16)
 def _generate_cached(name: str, sf: float) -> pd.DataFrame:
-    spec = DATASETS[name].scaled(sf)
-    return generate_pdf(spec)
+    # Positional key: generate(n) and generate(n, sf=1.0) share one entry.
+    pdf = generate_pdf(DATASETS[name].scaled(sf))
+    cols = {c: pdf[c].to_numpy() for c in "uvt"}
+    for a in cols.values():
+        a.setflags(write=False)
+    return pd.DataFrame(cols, copy=False)
 
 
 def generate_pdf(spec: DatasetSpec) -> pd.DataFrame:
@@ -229,26 +235,19 @@ def generate_pdf(spec: DatasetSpec) -> pd.DataFrame:
 
 
 def generate(name: str, *, sf: float = 1.0) -> pd.DataFrame:
-    """Deterministic edge table for a named dataset at scale ``sf``."""
+    """Deterministic edge table for a named dataset at scale ``sf``,
+    cached and shared by every caller: its columns are read-only, so a
+    write through the frame raises ``ValueError``."""
     return _generate_cached(name, sf)
 
 
-def generate_spark(
-    spark: SparkSession, name: str, *, sf: float = 1.0
-) -> DataFrame:
-    """The same edge table as a Spark DataFrame (Arrow-backed)."""
-    return spark.createDataFrame(generate(name, sf=sf))
-
-
-@lru_cache(maxsize=16)
-def edge_arrays(
-    name: str, sf: float = 1.0
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Column arrays ``(u, v, t)`` for TEL construction; cached because
-    every query on a dataset shares them (edge ids are positions), so
-    they are tuples: a dynamic graph (§6.1) appends to its own copy."""
+def edge_arrays(name: str, sf: float = 1.0) -> tuple[np.ndarray, ...]:
+    """The read-only int64 columns ``(u, v, t)`` of :func:`generate`'s
+    cached frame, not a copy: every query on a dataset cuts its window
+    from them (edge ids are positions), and a dynamic graph (§6.1)
+    appends to a copy of its own."""
     pdf = generate(name, sf=sf)
-    return tuple(tuple(pdf[c].tolist()) for c in "uvt")
+    return tuple(pdf[c].to_numpy() for c in "uvt")
 
 
 def tick_to_date(spec: DatasetSpec, tick: int) -> str:

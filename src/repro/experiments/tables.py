@@ -40,8 +40,7 @@ PRINT_DECIMALS = {
 def query_tel(q: QuerySpec, *, sf: float = 1.0) -> TEL:
     """``TEL(G_[Ts,Te])`` for a query — the working set every algorithm
     starts from (paper §5.2)."""
-    us, vs, ts = edge_arrays(q.dataset, sf)
-    return window_tel(us, vs, ts, q.Ts, q.Te)
+    return window_tel(*edge_arrays(q.dataset, sf), q.Ts, q.Te)
 
 
 # ---------------------------------------------------------------- Table 3
@@ -133,8 +132,7 @@ def table6(*, sf: float = 1.0, k: int = 10) -> pd.DataFrame:
     on the Youtube-like graph and report ``TABLE6_TOP_N`` of the result
     cores whose TTI span is at most one day, with their GMT dates."""
     spec = DATASETS[TABLE6_DATASET].scaled(sf)
-    us, vs, ts = edge_arrays(TABLE6_DATASET, sf)
-    tel = window_tel(us, vs, ts, 1, spec.n_ticks)
+    tel = window_tel(*edge_arrays(TABLE6_DATASET, sf), 1, spec.n_ticks)
     t0 = time.perf_counter()
     res = otcd_query(tel, k, 1, spec.n_ticks, signatures=False)
     elapsed = time.perf_counter() - t0
@@ -181,7 +179,8 @@ def fig7(*, sf: float = 1.0, qids: tuple[int, ...] | None = None) -> pd.DataFram
         if qids is not None and q.qid not in qids:
             continue
         if q.dataset != name:  # iPHC's (u, v, t) list, once per dataset
-            name, edges = q.dataset, list(zip(*edge_arrays(q.dataset, sf)))
+            name = q.dataset
+            edges = list(zip(*(a.tolist() for a in edge_arrays(name, sf))))
 
         t0 = time.perf_counter()
         index = build_phc_index(edges, q.k, q.Ts, q.Te)

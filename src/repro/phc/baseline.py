@@ -17,6 +17,7 @@ previously collected result (edge-set identity).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Sequence
 
@@ -59,8 +60,8 @@ def iphc_query(
     for ts in range(Ts, Te + 1):
         hv = [(ct, v) for v, ct in index.get(ts, {}).items()]
         heapq.heapify(hv)
-        he = [(t, e, u, v) for (t, e, u, v) in window if t >= ts]
-        heapq.heapify(he)
+        # ``window`` is sorted by (t, e), so its suffix is already a heap.
+        he = window[bisect_left(window, (ts,)):]
         V: set[int] = set()
         E: set[int] = set()
         t_min = t_max = None  # running TTI of (V, E)

@@ -57,9 +57,7 @@ def distributed_tcq_pdf(
         )
     if core0.empty:
         return pd.DataFrame(columns=COLUMNS, dtype="int64")
-    bc = spark.sparkContext.broadcast(
-        (core0["u"].tolist(), core0["v"].tolist(), core0["t"].tolist())
-    )
+    bc = spark.sparkContext.broadcast(tuple(core0[c].to_numpy() for c in "uvt"))
 
     def anchor_block(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         # One contiguous block of anchor rows per task (import inside the

@@ -9,7 +9,6 @@ from repro.datasets.temporal import (
     burst_schedule,
     edge_arrays,
     generate,
-    generate_spark,
     tick_to_date,
 )
 from repro.sparkdist.graph_io import degrees
@@ -40,6 +39,13 @@ class TestSpecs:
 
     def test_scaled_identity_at_full(self):
         assert DATASETS["youtube"].scaled(1.0) is DATASETS["youtube"]
+
+    @pytest.mark.parametrize("sf", [0, -0.5, 1.5, 2, float("nan"), float("inf")])
+    def test_scaled_rejects_factor_outside_unit_interval(self, sf):
+        """Above 1 the full graph would run under a larger label, and at
+        or below 0 the floors would give a 200-edge graph."""
+        with pytest.raises(ValueError, match="scale factor"):
+            DATASETS["youtube"].scaled(sf)
 
 
 class TestGeneration:
@@ -85,22 +91,28 @@ class TestGeneration:
         assert in_burst / width > 5 * background_rate
 
     def test_edge_arrays_cached_and_consistent(self):
-        us, vs, ts = edge_arrays("collegemsg", SF)
-        us2, _, _ = edge_arrays("collegemsg", SF)
-        assert us is us2  # lru cache
+        """The arrays are the cached frame's columns: one copy of the data."""
         pdf = generate("collegemsg", sf=SF)
-        assert len(us) == len(vs) == len(ts) == len(pdf)
-        assert (us[0], vs[0], ts[0]) == (pdf["u"].iat[0], pdf["v"].iat[0], pdf["t"].iat[0])
+        arrays = edge_arrays("collegemsg", SF)
+        again = edge_arrays("collegemsg", SF)
+        for c, a, b in zip("uvt", arrays, again):
+            assert np.shares_memory(a, pdf[c].to_numpy())
+            assert np.shares_memory(a, b)
+            np.testing.assert_array_equal(a, pdf[c])
+        assert generate("collegemsg") is generate("collegemsg", sf=1.0)
 
     def test_edge_arrays_are_read_only(self):
-        """Every query shares the cached arrays, so they are tuples: an
-        append raises instead of growing the cache under later windows."""
-        arrays = edge_arrays("collegemsg", SF)
-        for a in arrays:
-            assert isinstance(a, tuple)
-            with pytest.raises(AttributeError):
-                a.append(0)
-        assert all(len(a) == len(generate("collegemsg", sf=SF)) for a in arrays)
+        """Every query shares the cached arrays, so a write raises instead
+        of changing the graph under later windows."""
+        for a in edge_arrays("collegemsg", SF):
+            assert isinstance(a, np.ndarray) and a.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        pdf = generate("collegemsg", sf=SF)
+        with pytest.raises(ValueError, match="read-only"):
+            pdf.iloc[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            pdf.loc[0, "t"] = 0
 
 
 class TestBurstSchedule:
@@ -135,15 +147,15 @@ class TestTickDates:
 
 
 class TestSparkIntegration:
-    def test_generate_spark_roundtrip(self, spark):
-        df = generate_spark(spark, "collegemsg", sf=SF)
+    def test_spark_roundtrip(self, spark):
+        df = spark.createDataFrame(generate("collegemsg", sf=SF))
         pdf = generate("collegemsg", sf=SF)
         assert df.count() == len(pdf)
         assert df.columns == ["u", "v", "t"]
 
     def test_degree_computation_vs_duckdb(self, spark):
         """Distinct-neighbour degrees, Spark vs DuckDB (oracle)."""
-        df = generate_spark(spark, "collegemsg", sf=SF)
+        df = spark.createDataFrame(generate("collegemsg", sf=SF))
         got = degrees(df)
         assert_equivalent(
             got,
@@ -163,7 +175,7 @@ class TestSparkIntegration:
         )
 
     def test_timestamp_histogram_vs_duckdb(self, spark):
-        df = generate_spark(spark, "email-eu", sf=SF)
+        df = spark.createDataFrame(generate("email-eu", sf=SF))
         from pyspark.sql import functions as F
 
         got = df.groupBy("t").agg(F.count("*").alias("n"))

@@ -21,7 +21,7 @@ def test_three_algorithms_agree_on_workload(qid):
     tel = query_tel(q, sf=SF)
     r_tcd = tcd_query(tel, q.k, q.Ts, q.Te)
     r_otcd = otcd_query(tel, q.k, q.Ts, q.Te)
-    edges = list(zip(*edge_arrays(q.dataset, SF)))
+    edges = list(zip(*(a.tolist() for a in edge_arrays(q.dataset, SF))))
     index = build_phc_index(edges, q.k, q.Ts, q.Te)
     r_base = iphc_query(edges, index, q.k, q.Ts, q.Te)
     assert r_tcd.keys() == r_otcd.keys() == r_base.keys()

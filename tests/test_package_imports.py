@@ -3,6 +3,9 @@
 Every submodule is imported in a fresh interpreter, so a stale import of
 a deleted module fails here, and the test oracles' dependencies (DuckDB,
 Hypothesis) and the ``tests`` package must stay out of ``sys.modules``.
+The driver path (TEL, OTCD, the baseline, the datasets and the paper's
+tables) must also load without PySpark, which only ``repro.sparkdist``
+and the two Spark jobs need.
 """
 import os
 import subprocess
@@ -25,12 +28,27 @@ assert not leaked, f"repro imports test-only modules: {leaked}"
 """
 
 
-def test_package_imports_no_test_only_modules(tmp_path):
+DRIVER_SCRIPT = """
+import sys
+import repro.core, repro.phc, repro.datasets.temporal, repro.experiments.tables
+assert "pyspark" not in sys.modules, "the driver path imports pyspark"
+"""
+
+
+def run_fresh(script, cwd):
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     # Run outside the repository so ``tests`` is not importable by accident.
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
+        [sys.executable, "-c", script], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_imports_no_test_only_modules(tmp_path):
+    run_fresh(SCRIPT, tmp_path)
+
+
+def test_driver_path_imports_no_pyspark(tmp_path):
+    run_fresh(DRIVER_SCRIPT, tmp_path)

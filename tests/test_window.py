@@ -169,7 +169,7 @@ def test_append_leaves_shared_arrays_alone():
     us, vs, ts = edge_arrays("collegemsg", sf)
     T0, t_last = ts[-100], ts[-1]
     new = [(0, 1, t_last + 1), (1, 2, t_last + 1)]
-    grown = append_edges(list(zip(us, vs, ts)), new)
+    grown = append_edges(list(zip(us.tolist(), vs.tolist(), ts.tolist())), new)
     otcd_query(window_tel(*grown, T0, t_last + 1), 2, T0, t_last + 1)
     assert len(edge_arrays("collegemsg", sf)[0]) == len(grown[0]) - 2
 
