@@ -145,12 +145,13 @@ def sweep(
     prune: bool = True,
     min_strength: int = 1,
     stats: QueryStats | None = None,
-) -> Iterator[tuple[int, int, TEL]]:
+) -> Iterator[tuple[int, int, tuple[int, int], TEL]]:
     """Walk the anchor rows ``rows = (lo, hi)`` (default all) of the
-    schedule of TCQ(G, k, [Ts, Te]) and yield ``(ts, te, core)`` for
-    every non-empty cell evaluated, in schedule order.
+    schedule of TCQ(G, k, [Ts, Te]) and yield ``(ts, te, tti, core)``
+    for every non-empty cell evaluated, in schedule order.
 
-    ``core`` is the live TEL of ``T^k_[ts,te]``: read it before resuming.
+    ``core`` is the live TEL of ``T^k_[ts,te]`` and ``tti`` its TTI:
+    read the core before resuming.
     ``prune=True`` skips the cells PoR/PoU/PoL prove redundant;
     ``prune=False`` evaluates every cell until its row empties. Work
     counters go to ``stats``. ``graph`` is left untouched.
@@ -182,11 +183,10 @@ def sweep(
                 if prune:
                     stats.empty_skipped += prow.count_uncovered(ts, te - 1)
                 break
-            yield ts, te, row
+            tti = row.get_tti()
+            yield ts, te, tti, row
             if prune:
-                pou_hw = _apply_pruning(
-                    ts, te, row.get_tti(), pruned, stats, hi, pou_hw
-                )
+                pou_hw = _apply_pruning(ts, te, tti, pruned, stats, hi, pou_hw)
                 te = prow.next_uncovered_leq(te - 1, ts)
             else:
                 te -= 1
@@ -198,7 +198,9 @@ def check_query(k: int, Ts: int, Te: int) -> None:
         raise ValueError(f"TCQ needs k >= 1 and Ts <= Te; got k={k}, [{Ts}, {Te}]")
 
 
-def _collect(tel: TEL, ts: int, te: int, *, signatures: bool) -> CoreRecord:
+def _collect(
+    tel: TEL, ts: int, te: int, tti: tuple[int, int], *, signatures: bool
+) -> CoreRecord:
     # A signature copies O(|core|) per collected core — the exact
     # identity tests compare, and the core's edges are ``edges[e]`` for
     # its ids. Large scans (Table 6's full-span query collects tens of
@@ -206,7 +208,7 @@ def _collect(tel: TEL, ts: int, te: int, *, signatures: bool) -> CoreRecord:
     return CoreRecord(
         ts=ts,
         te=te,
-        tti=tel.get_tti(),
+        tti=tti,
         n_vertices=tel.n_vertices(),
         n_edges=tel.n_edges,
         signature=tel.signature() if signatures else frozenset(),
@@ -240,13 +242,12 @@ def otcd_query(
     span = Te - Ts + 1
     stats = QueryStats(cells_total=span * (span + 1) // 2)
     by_tti: dict[tuple[int, int], CoreRecord] = {}
-    for ts, te, core in sweep(
+    for ts, te, tti, core in sweep(
         graph, k, Ts, Te,
         rows=rows, prune=prune, min_strength=min_strength, stats=stats,
     ):
-        tti = core.get_tti()
         if tti not in by_tti:
-            by_tti[tti] = _collect(core, ts, te, signatures=signatures)
+            by_tti[tti] = _collect(core, ts, te, tti, signatures=signatures)
     cores = list(by_tti.values())
     stats.cores_collected = len(cores)
     return QueryResult(cores=cores, stats=stats)

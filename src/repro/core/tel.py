@@ -8,25 +8,27 @@ time-sorted (the input model below), all three are flat arrays here.
 
 **Shared index.** ``TEL(...)`` builds one immutable :class:`_Index` per
 window with NumPy; ``copy()`` shares it. Local *positions* ``0..n-1``
-number the window's edges in id order. Per edge (4-byte ints unless
-noted): its timestamp index ``tix``, its vertex-pair id ``pair`` (-1 for
-a self-loop) and two CSR incidence entries ``inc`` (the SL/DL), 16 B in
-all; the global id of a position is ``ids[pos]``, a ``range`` (0 B).
-Per distinct timestamp: its value ``tvals`` (8 B) and the first
-position ``tstart`` (4 B); per pair its dense endpoints ``pu/pv``; per
-vertex its label ``labels`` (8 B) and ``inc_ptr``.
+number the window's edges in id order. Per edge (4-byte ints): its
+vertex-pair id ``pair`` (-1 for a self-loop) and two CSR incidence
+entries ``inc`` (the SL/DL), 12 B in all; the global id of a position is
+``ids[pos]``, a ``range`` (0 B). Per distinct timestamp: its value
+``tvals`` (8 B) and the first position ``tstart`` (4 B), so the
+timestamp of a position is one ``bisect`` away; per pair its dense
+endpoints ``pu/pv``; per vertex its label ``labels`` (8 B) and
+``inc_ptr``.
 
 **Per-copy state.** A TEL holds only flat counters of its own, so
-``copy()`` is a few memcpys: ``alive`` (1 B per edge), alive edges per
-timestamp ``tcount``, parallel edges per alive pair ``mult`` and
-distinct alive neighbours per vertex ``deg`` (4 B each), plus head/tail
-timestamp indices that only move inwards: ``get_tti`` skips empty
-timestamps lazily, O(1) amortised. Peeling uses a *below-k worklist*:
+``copy()`` is a few memcpys: ``alive`` (1 B per edge), parallel edges
+per alive pair ``mult`` and distinct alive neighbours per vertex ``deg``
+(4 B each), plus ``head``/``tail``, position bounds of the alive edges
+that only move inwards: ``truncate`` moves them past the positions it
+drops, and ``get_tti`` tightens them to the first and last alive
+positions with ``alive.find``/``rfind`` (a C scan, O(1) amortised) and
+maps those two to their timestamps. Peeling uses a *below-k worklist*:
 every vertex whose degree drops below the TEL's threshold ``k`` is
-pushed once. ``signature()`` and ``drop_weak_pairs`` read only the live
-position range ``[tstart[head], tstart[tail + 1])``, so a core
-collected from a large window costs its TTI's positions, not the
-window's.
+pushed once. ``signature()`` and ``drop_weak_pairs`` read only the
+positions ``[head, tail]``, so a core collected from a large window
+costs its TTI's positions, not the window's.
 
 **Input model.** A temporal graph is three parallel edge arrays
 ``edge_u/edge_v/edge_t`` of integers sorted by ``t`` (non-decreasing,
@@ -85,7 +87,7 @@ class _Index:
     module docstring)."""
 
     __slots__ = (
-        "ids", "tvals", "tstart", "tix", "pair", "pu", "pv",
+        "ids", "tvals", "tstart", "pair", "pu", "pv",
         "inc_ptr", "inc", "labels",
     )
 
@@ -102,7 +104,7 @@ class TEL:
     """
 
     __slots__ = (
-        "ix", "alive", "tcount", "mult", "deg", "head", "tail",
+        "ix", "alive", "mult", "deg", "head", "tail",
         "n_edges", "nv", "k", "worklist",
     )
 
@@ -130,9 +132,6 @@ class TEL:
         tstart = np.flatnonzero(first)
         ix.tvals = _mv(t[tstart], np.int64)
         ix.tstart = _mv(np.append(tstart, n))
-        tix = np.cumsum(first, dtype=np.int32)
-        tix -= 1
-        ix.tix = _mv(tix)
         del t, first, tstart
 
         # Dense vertex ids in label order over the non-loop edges. The same
@@ -143,7 +142,7 @@ class TEL:
         keep = u != v
         loops = not keep.all()
         if loops:
-            u, v, tix = u[keep], v[keep], tix[keep]
+            u, v = u[keep], v[keep]
         m = len(u)
         both = np.concatenate((u, v))
         del u, v
@@ -182,10 +181,9 @@ class TEL:
             ix.pair = _mv(pid)
 
         self.alive = bytearray(keep) if loops else bytearray(b"\x01") * n
-        self.tcount = _counts(np.bincount(tix, minlength=len(ix.tvals)))
         self.mult = _counts(np.bincount(pid, minlength=len(pkeys)))
         self.deg = _counts(np.bincount(np.concatenate((pu, pv)), minlength=nv))
-        self.head, self.tail = 0, len(ix.tvals) - 1
+        self.head, self.tail = 0, n - 1
         self.n_edges = m
         self.nv = nv
         self.k = 0
@@ -201,7 +199,6 @@ class TEL:
         cp = TEL.__new__(TEL)
         cp.ix = self.ix
         cp.alive = self.alive[:]
-        cp.tcount = self.tcount[:]
         cp.mult = self.mult[:]
         cp.deg = self.deg[:]
         cp.head, cp.tail = self.head, self.tail
@@ -213,26 +210,22 @@ class TEL:
     # -- manipulations (paper Table 1) -------------------------------------
 
     def get_tti(self) -> tuple[int, int] | None:
-        """Timestamps of the first and last non-empty TL (``None`` if empty)."""
+        """Timestamps of the first and last alive edges (``None`` if empty)."""
         if not self.n_edges:
             return None
-        tcount = self.tcount
-        h, t = self.head, self.tail
-        while not tcount[h]:
-            h += 1
-        while not tcount[t]:
-            t -= 1
-        self.head, self.tail = h, t
-        tvals = self.ix.tvals
-        return (tvals[h], tvals[t])
+        alive, t = self.alive, self.tail + 1
+        h = self.head = alive.find(1, self.head, t)
+        t = self.tail = alive.rfind(1, h, t)
+        tvals, tstart = self.ix.tvals, self.ix.tstart
+        return tvals[bisect_right(tstart, h) - 1], tvals[bisect_right(tstart, t) - 1]
 
     def _drop(self, positions: Iterable[int]) -> None:
-        """Delete the alive edges among ``positions``: update ``tcount``,
-        pair multiplicities and degrees, and push every vertex whose degree
+        """Delete the alive edges among ``positions``: update pair
+        multiplicities and degrees, and push every vertex whose degree
         falls below ``k`` on the worklist."""
-        alive, tcount, mult, deg = self.alive, self.tcount, self.mult, self.deg
+        alive, mult, deg = self.alive, self.mult, self.deg
         ix = self.ix
-        tix, pair, pu, pv = ix.tix, ix.pair, ix.pu, ix.pv
+        pair, pu, pv = ix.pair, ix.pu, ix.pv
         below = self.k - 1
         wl = self.worklist
         n = gone = 0
@@ -240,7 +233,6 @@ class TEL:
             if alive[i]:
                 alive[i] = 0
                 n += 1
-                tcount[tix[i]] -= 1
                 p = pair[i]
                 m = mult[p] - 1
                 mult[p] = m
@@ -262,20 +254,20 @@ class TEL:
             self._drop((e - ids.start,))
 
     def truncate(self, ts: int, te: int) -> None:
-        """Delete the edges outside ``[ts, te]``: two position ranges."""
-        ix = self.ix
-        tvals, tstart, alive = ix.tvals, ix.tstart, self.alive
-        h, t = self.head, self.tail
-        h1 = bisect_left(tvals, ts, h, t + 1)
-        if h1 > h:
-            a, b = tstart[h], tstart[h1]
-            self._drop(compress(range(a, b), alive[a:b]))
-            self.head = h = h1
-        t1 = bisect_right(tvals, te, h, t + 1) - 1
-        if t1 < t:
-            a, b = tstart[t1 + 1], tstart[t + 1]
-            self._drop(compress(range(a, b), alive[a:b]))
-            self.tail = t1
+        """Delete the edges outside ``[ts, te]``: the position ranges from
+        ``head`` up to the first position at or after ``ts`` and from the
+        first position after ``te`` down to ``tail``."""
+        tvals, tstart, alive = self.ix.tvals, self.ix.tstart, self.alive
+        h = self.head
+        b = tstart[bisect_left(tvals, ts)]
+        if b > h:
+            self._drop(compress(range(h, b), alive[h:b]))
+            self.head = b
+        t = self.tail + 1
+        a = tstart[bisect_right(tvals, te)]
+        if a < t:
+            self._drop(compress(range(a, t), alive[a:t]))
+            self.tail = a - 1
 
     def drop_weak_pairs(self, min_strength: int) -> None:
         """Delete every pair with fewer than ``min_strength`` alive edges.
@@ -325,12 +317,8 @@ class TEL:
         return {x: d for x, d in zip(self.ix.labels, self.deg) if d}
 
     def _live(self) -> range:
-        """The live position range ``[tstart[head], tstart[tail + 1])``
-        (empty for an empty TEL)."""
-        if self.get_tti() is None:
-            return range(0)
-        tstart = self.ix.tstart
-        return range(tstart[self.head], tstart[self.tail + 1])
+        """The position range ``[head, tail]`` that holds every alive edge."""
+        return range(self.head, self.tail + 1)
 
     def signature(self) -> frozenset[int]:
         """Edge-set identity of the represented subgraph: alive edge ids."""
@@ -340,5 +328,8 @@ class TEL:
 
     def timestamps(self) -> list[int]:
         """Timestamps with at least one alive edge, ascending."""
-        h, t = self.head, self.tail + 1
-        return list(compress(self.ix.tvals[h:t], self.tcount[h:t]))
+        tstart, alive = self.ix.tstart, self.alive
+        return [
+            x for j, x in enumerate(self.ix.tvals)
+            if alive.find(1, tstart[j], tstart[j + 1]) >= 0
+        ]

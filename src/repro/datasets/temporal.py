@@ -168,13 +168,13 @@ def _pairs_within(
 
 
 @lru_cache(maxsize=16)
-def _generate_cached(name: str, sf: float) -> pd.DataFrame:
+def _generate_cached(name: str, sf: float) -> tuple[np.ndarray, ...]:
     # Positional key: generate(n) and generate(n, sf=1.0) share one entry.
     pdf = generate_pdf(DATASETS[name].scaled(sf))
-    cols = {c: pdf[c].to_numpy() for c in "uvt"}
-    for a in cols.values():
+    cols = tuple(pdf[c].to_numpy() for c in "uvt")
+    for a in cols:
         a.setflags(write=False)
-    return pd.DataFrame(cols, copy=False)
+    return cols
 
 
 def generate_pdf(spec: DatasetSpec) -> pd.DataFrame:
@@ -235,19 +235,19 @@ def generate_pdf(spec: DatasetSpec) -> pd.DataFrame:
 
 
 def generate(name: str, *, sf: float = 1.0) -> pd.DataFrame:
-    """Deterministic edge table for a named dataset at scale ``sf``,
-    cached and shared by every caller: its columns are read-only, so a
-    write through the frame raises ``ValueError``."""
-    return _generate_cached(name, sf)
+    """Deterministic edge table for a named dataset at scale ``sf``: a
+    new frame on each call over the cached columns every caller shares.
+    The columns are read-only, so a write through the frame raises
+    ``ValueError``, and assigning a column changes only this frame."""
+    return pd.DataFrame(dict(zip("uvt", _generate_cached(name, sf))), copy=False)
 
 
 def edge_arrays(name: str, sf: float = 1.0) -> tuple[np.ndarray, ...]:
-    """The read-only int64 columns ``(u, v, t)`` of :func:`generate`'s
-    cached frame, not a copy: every query on a dataset cuts its window
-    from them (edge ids are positions), and a dynamic graph (§6.1)
+    """The cached read-only int64 columns ``(u, v, t)`` behind every
+    :func:`generate` frame, not a copy: every query on a dataset cuts its
+    window from them (edge ids are positions), and a dynamic graph (§6.1)
     appends to a copy of its own."""
-    pdf = generate(name, sf=sf)
-    return tuple(pdf[c].to_numpy() for c in "uvt")
+    return _generate_cached(name, sf)
 
 
 def tick_to_date(spec: DatasetSpec, tick: int) -> str:

@@ -47,7 +47,7 @@ def build_phc_index(edges: Sequence[Edge], k: int, Ts: int, Te: int) -> PHCIndex
     index: PHCIndex = {ts: {} for ts in range(Ts, Te + 1)}
     window = TEL(us, vs, tts)  # the index keeps no edge ids
     row = n = members = None
-    for ts, te, core in sweep(window, k, Ts, Te, prune=False):
+    for ts, te, _, core in sweep(window, k, Ts, Te, prune=False):
         # A row's core only loses vertices as te descends, so an unchanged
         # vertex count means an unchanged vertex set.
         if (ts, core.n_vertices()) != (row, n):

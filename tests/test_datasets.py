@@ -99,7 +99,22 @@ class TestGeneration:
             assert np.shares_memory(a, pdf[c].to_numpy())
             assert np.shares_memory(a, b)
             np.testing.assert_array_equal(a, pdf[c])
-        assert generate("collegemsg") is generate("collegemsg", sf=1.0)
+        full, again = generate("collegemsg"), generate("collegemsg", sf=1.0)
+        for c in "uvt":
+            assert np.shares_memory(full[c].to_numpy(), again[c].to_numpy())
+
+    def test_column_assignment_stays_in_its_frame(self):
+        """Each call returns its own frame over the shared columns, so
+        replacing or adding a column leaves every later caller's data alone."""
+        before = [a.copy() for a in edge_arrays("collegemsg", SF)]
+        pdf = generate("collegemsg", sf=SF)
+        pdf["u"] = 0
+        pdf["w"] = 1
+        later = generate("collegemsg", sf=SF)
+        assert list(later.columns) == ["u", "v", "t"]
+        for c, a, b in zip("uvt", before, edge_arrays("collegemsg", SF)):
+            np.testing.assert_array_equal(later[c], a)
+            np.testing.assert_array_equal(b, a)
 
     def test_edge_arrays_are_read_only(self):
         """Every query shares the cached arrays, so a write raises instead

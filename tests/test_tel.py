@@ -102,6 +102,39 @@ class TestDelEdge:
                 assert tel.get_tti() is None
 
 
+class TestDeadWindowEnds:
+    """Self-loops hold the window's first and last positions and a peel
+    kills its first and last alive edges, so the alive-position bounds
+    start on dead positions and must look past them."""
+
+    # Pendants 4 and 6 hang off the triangle 1-2-3 at positions 1 and 5.
+    EDGES = [
+        (5, 5, 1), (1, 4, 1), (1, 2, 2), (2, 3, 2), (1, 3, 3), (3, 6, 4), (7, 7, 4),
+    ]
+
+    def test_peel_kills_both_ends(self):
+        tel = tel_of(self.EDGES)
+        tcd_operation(tel, 2, 1, 4)
+        assert tel.get_tti() == (2, 3)
+        assert tel.timestamps() == [2, 3]
+        assert tel.signature() == {2, 3, 4}
+        tcd_operation(tel, 0, 4, 4)
+        assert tel.is_empty() and tel.get_tti() is None
+        assert tel.timestamps() == [] and tel.signature() == frozenset()
+        assert tel.vertices() == set()
+
+    def test_copy_with_loose_bounds_truncates_to_empty(self):
+        """A copy taken before any ``get_tti`` keeps the bounds on the
+        self-loops; truncating below the triangle empties it."""
+        tel = tel_of(self.EDGES)
+        tcd_operation(tel, 2, 1, 4)
+        cp = tel.copy()
+        tcd_operation(cp, 0, 1, 1)
+        assert cp.is_empty() and cp.get_tti() is None
+        assert cp.timestamps() == [] and cp.signature() == frozenset()
+        assert tel.get_tti() == (2, 3)
+
+
 class TestAddEdge:
     """The paper's ``add_edge`` (§6.1): an edge appends, in time order, to
     the caller's edge arrays, and the next TEL cut from them holds it."""
