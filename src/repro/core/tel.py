@@ -213,9 +213,9 @@ class TEL:
         """Timestamps of the first and last alive edges (``None`` if empty)."""
         if not self.n_edges:
             return None
-        alive, t = self.alive, self.tail + 1
-        h = self.head = alive.find(1, self.head, t)
-        t = self.tail = alive.rfind(1, h, t)
+        alive, end = self.alive, self.tail + 1
+        h = self.head = alive.find(1, self.head, end)
+        t = self.tail = alive.rfind(1, h, end)
         tvals, tstart = self.ix.tvals, self.ix.tstart
         return tvals[bisect_right(tstart, h) - 1], tvals[bisect_right(tstart, t) - 1]
 
@@ -263,10 +263,9 @@ class TEL:
         if b > h:
             self._drop(compress(range(h, b), alive[h:b]))
             self.head = b
-        t = self.tail + 1
-        a = tstart[bisect_right(tvals, te)]
-        if a < t:
-            self._drop(compress(range(a, t), alive[a:t]))
+        a, end = tstart[bisect_right(tvals, te)], self.tail + 1
+        if a < end:
+            self._drop(compress(range(a, end), alive[a:end]))
             self.tail = a - 1
 
     def drop_weak_pairs(self, min_strength: int) -> None:
