@@ -14,7 +14,10 @@ Suites:
 
 * ``table6-scan``: the Table-6 full-span Youtube scan at sf=1, k=10,
   best of 3 (``repro.experiments.tables.table6``): one OTCD query over the
-  whole span, timed without building its TEL.
+  whole span, timed without building its TEL. The entry also holds the
+  scan's ``QueryStats`` work counters, which must be equal in every repeat:
+  with equal counters, a change in time comes from the host or a constant
+  factor, not from the algorithm.
 * ``fig7``: the 20 Table-3 queries at sf=1 through
   ``repro.experiments.tables.fig7``, which asserts that OTCD, TCD and iPHC
   return the same cores. One untimed warm-up pass, then 3 passes; per query
@@ -79,11 +82,11 @@ def summary(seconds) -> dict:
     }
 
 
-def same_counts(counts: set, what: str) -> int:
-    """The one result count all repeats returned."""
-    if len(counts) != 1:
-        raise RuntimeError(f"{what}: counts differ between repeats: {sorted(counts)}")
-    return counts.pop()
+def same_counts(counts: list, what: str):
+    """The one result count (or counter dict) all repeats returned."""
+    if any(c != counts[0] for c in counts):
+        raise RuntimeError(f"{what}: counts differ between repeats: {counts}")
+    return counts[0]
 
 
 def table6_scan() -> dict:
@@ -93,7 +96,8 @@ def table6_scan() -> dict:
     return append_entry(
         "table6-scan",
         **summary([df.attrs["scan_seconds"] for df in runs]),
-        cores=same_counts({df.attrs["total_cores"] for df in runs}, "table6"),
+        cores=same_counts([df.attrs["total_cores"] for df in runs], "table6"),
+        stats=same_counts([df.attrs["stats"] for df in runs], "table6 stats"),
         sf=1.0,
         k=10,
     )
@@ -116,7 +120,7 @@ def fig7_suite() -> dict:
     for i, row in runs[0].iterrows():
         q = {"id": int(row["id"]), "G": row["G"], "k": int(row["k"])}
         q["results"] = same_counts(
-            {int(df["results"].iloc[i]) for df in runs}, f"fig7 query {q['id']}"
+            [int(df["results"].iloc[i]) for df in runs], f"fig7 query {q['id']}"
         )
         for name, col in FIG7_TIMINGS.items():
             q[name] = summary([float(df[col].iloc[i]) for df in runs])

@@ -10,7 +10,8 @@ row empties; OTCD (Algorithm 3, :func:`otcd_query`) lets each induced
 core's TTI ``[ts', te']`` trigger up to three pruning rules:
 
 * **PoR** (``te' < te``): cells ``[ts, te-1] .. [ts, te']`` in the
-  current row induce the same core (Lemma 2).
+  current row induce the same core (Lemma 2), so the row jumps to
+  column ``te'-1``.
 * **PoU** (``ts' > ts``): rows ``r in [ts+1, ts']`` share their cores
   with row ``ts`` for every column ``<= te`` (Lemmas 3-4), so cells
   ``[r, te] .. [r, r]`` are skipped.
@@ -18,15 +19,16 @@ core's TTI ``[ts', te']`` trigger up to three pruning rules:
   the cells ``[r, te] .. [r, te'+1]`` equal the later cell ``[r, te']``
   (Lemma 5).
 
-Pruned cells are kept per row as an :class:`IntervalSet`; the sweep
-jumps straight to the next unpruned column, and TCD's ability to jump
-across multiple columns at once (Theorem 1) keeps the decremental chain
-valid. Both queries keep the first core per TTI (Equivalence, Property 2).
-The PHC-Index build and the Spark anchor tasks run the same sweep over
-a range of rows.
+PoU and PoL mark cells of later rows, kept per row as an
+:class:`IntervalSet`; the sweep jumps straight to the next unmarked
+column, and TCD's ability to jump across multiple columns at once
+(Theorem 1) keeps the decremental chain valid. Both queries keep the
+first core per TTI (Equivalence, Property 2). The PHC-Index build and
+the Spark anchor tasks run the same sweep over a range of rows.
 """
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from collections import defaultdict
 from typing import Iterator, Sequence
@@ -107,8 +109,10 @@ def _apply_pruning(
     hi: int,
     pou_hw: int,
 ) -> int:
-    """Algorithm 3 on the trigger cell ``[ts, te]`` with TTI ``tti``;
-    rows after ``hi`` are not swept, so they are not marked.
+    """Algorithm 3 on the trigger cell ``[ts, te]`` with TTI ``tti``: PoU
+    and PoL mark later rows up to ``hi``, the last swept. PoR's cells lie
+    left of the trigger, where :func:`sweep` does not return, so PoR only
+    counts those no earlier row marked.
 
     ``pou_hw`` is row ``ts``'s PoU high-water mark: rows ``ts+1..pou_hw``
     already hold PoU marks ``[r, te_1]`` from an earlier trigger of this
@@ -117,7 +121,7 @@ def _apply_pruning(
     ts_p, te_p = tti
     if te_p < te:  # Rule 1: PoR — cells [ts, te-1] .. [ts, te'].
         stats.por_triggers += 1
-        stats.por_pruned += pruned[ts].add(te_p, te - 1)
+        stats.por_pruned += pruned[ts].count_uncovered(te_p, te - 1)
     if ts_p > ts:  # Rule 2: PoU — rows ts+1..ts', columns te .. r.
         stats.pou_triggers += 1
         top = min(ts_p, hi)
@@ -180,39 +184,27 @@ def sweep(
                 tcd_operation(row, k, ts, te, min_strength=min_strength)
                 stats.cells_evaluated += 1
             if row.is_empty():
-                if prune:
-                    stats.empty_skipped += prow.count_uncovered(ts, te - 1)
                 break
             tti = row.get_tti()
             yield ts, te, tti, row
             if prune:
                 pou_hw = _apply_pruning(ts, te, tti, pruned, stats, hi, pou_hw)
-                te = prow.next_uncovered_leq(te - 1, ts)
+                te = prow.next_uncovered_leq(tti[1] - 1, ts)  # PoR jump
             else:
                 te -= 1
 
 
 def check_query(k: int, Ts: int, Te: int) -> None:
-    """Reject a TCQ instance outside the input model (``k >= 1``, ``Ts <= Te``)."""
-    if k < 1 or Ts > Te:
-        raise ValueError(f"TCQ needs k >= 1 and Ts <= Te; got k={k}, [{Ts}, {Te}]")
-
-
-def _collect(
-    tel: TEL, ts: int, te: int, tti: tuple[int, int], *, signatures: bool
-) -> CoreRecord:
-    # A signature copies O(|core|) per collected core — the exact
-    # identity tests compare, and the core's edges are ``edges[e]`` for
-    # its ids. Large scans (Table 6's full-span query collects tens of
-    # thousands of cores) disable it and rely on TTI identity (Property 2).
-    return CoreRecord(
-        ts=ts,
-        te=te,
-        tti=tti,
-        n_vertices=tel.n_vertices(),
-        n_edges=tel.n_edges,
-        signature=tel.signature() if signatures else frozenset(),
-    )
+    """Reject a TCQ instance outside the input model: integers with ``k >= 1``
+    and ``Ts <= Te`` (a fractional ``k`` would peel wrongly)."""
+    try:
+        ok = operator.index(k) >= 1 and operator.index(Ts) <= operator.index(Te)
+    except TypeError:  # not an integer
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"TCQ needs integers k >= 1 and Ts <= Te; got k={k!r}, [{Ts!r}, {Te!r}]"
+        )
 
 
 def otcd_query(
@@ -247,7 +239,10 @@ def otcd_query(
         rows=rows, prune=prune, min_strength=min_strength, stats=stats,
     ):
         if tti not in by_tti:
-            by_tti[tti] = _collect(core, ts, te, tti, signatures=signatures)
+            by_tti[tti] = CoreRecord(
+                ts, te, tti, core.n_vertices(), core.n_edges,
+                core.signature() if signatures else frozenset(),
+            )
     cores = list(by_tti.values())
     stats.cores_collected = len(cores)
     return QueryResult(cores=cores, stats=stats)

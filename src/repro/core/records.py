@@ -41,7 +41,6 @@ class QueryStats:
     por_pruned: int = 0
     pou_pruned: int = 0
     pol_pruned: int = 0
-    empty_skipped: int = 0        # cells skipped because the row went empty
 
     def pruned_total(self) -> int:
         return self.por_pruned + self.pou_pruned + self.pol_pruned

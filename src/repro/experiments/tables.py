@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from dataclasses import asdict
 
 import pandas as pd
 
@@ -163,6 +164,7 @@ def table6(*, sf: float = 1.0, k: int = 10) -> pd.DataFrame:
     df.attrs["total_cores"] = len(res.cores)
     df.attrs["one_day_cores"] = len(one_day)
     df.attrs["scan_seconds"] = elapsed
+    df.attrs["stats"] = asdict(res.stats)  # the scan's work counters
     return df
 
 

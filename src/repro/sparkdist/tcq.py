@@ -32,10 +32,8 @@ from pyspark.sql import DataFrame, SparkSession
 from ..core.otcd import check_query
 from .decomposition import job_description, temporal_kcore_df
 
-RESULT_SCHEMA = (
-    "ts long, te long, tti_s long, tti_e long, n_vertices long, n_edges long"
-)
 COLUMNS = ["tti_s", "tti_e", "n_vertices", "n_edges", "first_ts", "first_te"]
+RESULT_SCHEMA = ", ".join(f"{c} long" for c in COLUMNS)
 
 
 def distributed_tcq_pdf(
@@ -73,20 +71,19 @@ def distributed_tcq_pdf(
             TEL(*bc.value), k, Ts, Te, rows=(lo, hi), signatures=False
         )
         yield pd.DataFrame(
-            [(c.ts, c.te, *c.tti, c.n_vertices, c.n_edges) for c in res.cores],
-            columns=["ts", "te", "tti_s", "tti_e", "n_vertices", "n_edges"],
+            [(*c.tti, c.n_vertices, c.n_edges, c.ts, c.te) for c in res.cores],
+            columns=COLUMNS,
         )
 
     with job_description(spark.sparkContext, "anchor blocks"):
         rows = (
             spark.range(Ts, Te + 1).mapInPandas(anchor_block, RESULT_SCHEMA).toPandas()
         )
-    # Schedule order is row-major with te descending, so within one TTI the
-    # first inducing cell has the smallest ts, then the largest te.
-    first = rows.sort_values(
-        ["tti_s", "tti_e", "ts", "te"], ascending=[True, True, True, False]
-    ).drop_duplicates(["tti_s", "tti_e"])
+    # Within one TTI the first inducing cell is in the smallest row. No two
+    # rows tie on (TTI, first_ts): each block returns one row per TTI, and
+    # blocks own disjoint anchor rows.
     return (
-        first.rename(columns={"ts": "first_ts", "te": "first_te"})[COLUMNS]
+        rows.sort_values(["tti_s", "tti_e", "first_ts"])
+        .drop_duplicates(["tti_s", "tti_e"])
         .reset_index(drop=True)
     )

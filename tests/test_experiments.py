@@ -87,6 +87,7 @@ class TestTables:
     def test_table6_structure(self):
         df = table6(sf=SF, k=4)  # smaller k: scaled bursts are sparser
         assert df.attrs["total_cores"] > 0
+        assert df.attrs["stats"]["cores_collected"] == df.attrs["total_cores"]
         if not df.empty:
             assert set(df.columns) == {"Date", "|V|", "|E|"}
             assert len(df) <= 9

@@ -1,5 +1,6 @@
 """OTCD (pruning-optimized TCD): result equality with TCD / brute force,
 plus the paper's claims about the pruning rules (§4.3)."""
+import numpy as np
 import pytest
 
 from repro.core.otcd import otcd_query, tcd_query
@@ -107,19 +108,42 @@ def test_first_inducer_reported_in_schedule_order():
         assert c.te >= c.tti[1]
 
 
-@pytest.mark.parametrize("k, Ts, Te", [(0, 1, 9), (-1, 1, 9), (2, 9, 1)])
-@pytest.mark.parametrize(
-    "query", [tcd_query, otcd_query, build_phc_index, iphc_query]
-)
-def test_rejects_invalid_query(query, k, Ts, Te):
-    edges = bursty_temporal_graph(0)
+# Outside the input model: k < 1, Ts > Te, and non-integer k, Ts or Te
+# (a fractional k would peel wrongly, a fractional bound breaks range()).
+INVALID = [(0, 1, 9), (-1, 1, 9), (2, 9, 1), (2.5, 1, 9), (2, 1.5, 9), (2, 1, 12.0)]
+DRIVER_QUERIES = [tcd_query, otcd_query, build_phc_index, iphc_query]
+
+
+def _driver_args(query, edges):
     # The baseline takes the edge list (and an index); the rest a TEL.
     args = {build_phc_index: (edges,), iphc_query: (edges, {})}
+    return args.get(query, (tel_of(edges),))
+
+
+@pytest.mark.parametrize("k, Ts, Te", INVALID)
+@pytest.mark.parametrize("query", DRIVER_QUERIES)
+def test_rejects_invalid_query(query, k, Ts, Te):
+    edges = bursty_temporal_graph(0)
     with pytest.raises(ValueError):
-        query(*args.get(query, (tel_of(edges),)), k, Ts, Te)
+        query(*_driver_args(query, edges), k, Ts, Te)
 
 
-@pytest.mark.parametrize("k, Ts, Te", [(0, 1, 9), (-1, 1, 9), (2, 9, 1)])
+@pytest.mark.parametrize("query", [tcd_query, otcd_query, build_phc_index])
+def test_accepts_numpy_integers(query):
+    edges = bursty_temporal_graph(0)
+    args = _driver_args(query, edges)
+    got = query(*args, np.int64(2), np.int64(1), np.int64(20))
+    assert got == query(*args, 2, 1, 20)
+
+
+def test_iphc_accepts_numpy_integers():
+    edges = bursty_temporal_graph(0)
+    index = build_phc_index(edges, 2, 1, 20)
+    got = iphc_query(edges, index, np.int64(2), np.int64(1), np.int64(20))
+    assert got.keys() == iphc_query(edges, index, 2, 1, 20).keys()
+
+
+@pytest.mark.parametrize("k, Ts, Te", INVALID)
 def test_distributed_tcq_rejects_invalid_query(k, Ts, Te):
     # Validation runs before any Spark work, so no session is needed.
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ def model_stats(edges, k, Ts, Te, lo, hi, min_strength) -> QueryStats:
     the rules in trigger order, each marking its full region of
     ``(row, col)`` cells clipped to rows ``<= hi``; a row starts at its
     largest unpruned column; an empty ``[ts, Te]`` ends the sweep; an
-    empty cell ends its row, its unpruned columns counted as skipped."""
+    empty cell ends its row."""
     span = Te - Ts + 1
     s = QueryStats(cells_total=span * (span + 1) // 2)
     pruned: set[tuple[int, int]] = set()
@@ -48,7 +48,6 @@ def model_stats(edges, k, Ts, Te, lo, hi, min_strength) -> QueryStats:
                 s.cells_evaluated += 1
             cur = tti(ts, te)
             if cur is None:
-                s.empty_skipped += sum((ts, c) not in pruned for c in range(ts, te))
                 break
             ttis.add(cur)
             ts_p, te_p = cur
@@ -91,6 +90,9 @@ N_TICKS = 16
 )
 # A row whose later PoU trigger reaches rows past its earlier one.
 @example(seed=4, shape=("random", 12), k=1, Ts=1, width=8, cut=(0, 0), min_strength=2)
+# PoR ranges that overlap PoU/PoL marks of earlier rows: PoR counts
+# only the cells no earlier row marked.
+@example(seed=0, shape=("random", 12), k=2, Ts=1, width=15, cut=(0, 0), min_strength=1)
 def test_stats_equal_cell_set_model(seed, shape, k, Ts, width, cut, min_strength):
     kind, n = shape
     if kind == "bursty":
