@@ -21,13 +21,16 @@ Suites:
 * ``fig7``: the 20 Table-3 queries at sf=1 through
   ``repro.experiments.tables.fig7``, which asserts that OTCD, TCD and iPHC
   return the same cores. One untimed warm-up pass, then 3 passes; per query
-  and algorithm the best and median seconds, per algorithm the geometric
-  mean of the per-query bests. The PHC-Index build is offline in the
-  paper and is reported on its own.
+  and algorithm the best and median seconds and, for baseline, TCD and
+  OTCD, the ``cells_evaluated`` work count (equal in every pass); per
+  algorithm the geometric mean of the per-query bests. The PHC-Index
+  build is offline in the paper and is reported on its own.
 * ``sweeps``: the Figure 9/12 shapes on CollegeMsg query 1 at sf=0.1: OTCD
   and TCD at k=2..6 and at spans of 1-4 days around the query's centre,
   each with its result count. The nine windows' TELs are built first,
   outside the timer; then 3 passes each time OTCD and TCD at every point.
+  Each point also holds OTCD's and TCD's ``cells_evaluated``, equal in
+  every pass.
 """
 from __future__ import annotations
 
@@ -124,6 +127,11 @@ def fig7_suite() -> dict:
         )
         for name, col in FIG7_TIMINGS.items():
             q[name] = summary([float(df[col].iloc[i]) for df in runs])
+            if name in runs[0].attrs["cells"]:
+                q[name]["cells"] = same_counts(
+                    [df.attrs["cells"][name][i] for df in runs],
+                    f"fig7 query {q['id']} {name} cells",
+                )
         queries.append(q)
     geomean = {
         name: round(
@@ -165,6 +173,7 @@ def sweeps() -> dict:
     # over the points instead of landing on one point's repeats.
     tels = [window_tel(*arrays, p["Ts"], p["Te"]) for p in points]
     seconds = {(i, name): [] for i in range(len(points)) for name, _ in queries}
+    cells = {key: [] for key in seconds}
     keys = {}
     for _ in range(REPEAT):
         for i, (p, tel) in enumerate(zip(points, tels)):
@@ -172,12 +181,14 @@ def sweeps() -> dict:
                 t0 = time.perf_counter()
                 res = query(tel, p["k"], p["Ts"], p["Te"])
                 seconds[i, name].append(time.perf_counter() - t0)
+                cells[i, name].append(res.stats.cells_evaluated)
                 keys[i, name] = res.keys()
     for i, p in enumerate(points):
         if keys[i, "OTCD"] != keys[i, "TCD"]:
             raise RuntimeError(f"OTCD and TCD disagree at {p}")
         for name, _ in queries:
             p[name] = summary(seconds[i, name])
+            p[name]["cells"] = same_counts(cells[i, name], f"sweeps {p} {name} cells")
         p["cores"] = len(keys[i, "OTCD"])
     return append_entry(
         "sweeps",

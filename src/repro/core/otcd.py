@@ -96,9 +96,6 @@ class IntervalSet:
                 total -= overlap
         return total
 
-    def intervals(self) -> list[tuple[int, int]]:
-        return list(self._iv)
-
 
 def _apply_pruning(
     ts: int,
@@ -158,9 +155,12 @@ def sweep(
     read the core before resuming.
     ``prune=True`` skips the cells PoR/PoU/PoL prove redundant;
     ``prune=False`` evaluates every cell until its row empties. Work
-    counters go to ``stats``. ``graph`` is left untouched.
+    counters go to ``stats``. ``graph`` is left untouched. Rows outside
+    ``[Ts, Te]`` raise ``ValueError``: the chain starts at ``[lo, Te]``.
     """
     lo, hi = rows or (Ts, Te)
+    if not Ts <= lo <= hi <= Te:
+        raise ValueError(f"rows {lo}..{hi} are not inside [{Ts}, {Te}]")
     if stats is None:
         stats = QueryStats()
     pruned: dict[int, IntervalSet] = defaultdict(IntervalSet)
@@ -173,7 +173,7 @@ def sweep(
         # Advance the row-start chain to [ts, Te] (jumps over pruned rows).
         tcd_operation(chain, k, ts, Te, min_strength=min_strength)
         stats.cells_evaluated += 1
-        if chain.is_empty():
+        if not chain.n_edges:
             break  # T^k_[ts,Te] empty ⇒ all remaining rows empty too
         stats.rows_started += 1
         # The last row may consume the chain; the others sweep a copy.
@@ -183,7 +183,7 @@ def sweep(
             if te < Te:  # cell [ts, Te] was evaluated by the chain step
                 tcd_operation(row, k, ts, te, min_strength=min_strength)
                 stats.cells_evaluated += 1
-            if row.is_empty():
+            if not row.n_edges:
                 break
             tti = row.get_tti()
             yield ts, te, tti, row
@@ -223,9 +223,9 @@ def otcd_query(
     Returns every distinct temporal k-core exactly once (keyed by TTI,
     reported with its first inducing cell) plus work and pruning
     statistics. ``graph`` is left untouched. ``rows`` restricts the
-    sweep to a range of anchor rows. ``min_strength`` is the
-    link-strength extension (see :func:`tcd_operation`); the time-span
-    extension filters the result (:func:`within_span`).
+    sweep to a range of anchor rows inside ``[Ts, Te]``. ``min_strength``
+    is the link-strength extension (see :func:`tcd_operation`); the
+    time-span extension filters the result (:func:`within_span`).
     ``signatures=False`` skips the O(|core|) edge-set signature per
     collected core (use for large full-span scans; TTIs still identify
     cores uniquely by Property 2).
@@ -240,7 +240,7 @@ def otcd_query(
     ):
         if tti not in by_tti:
             by_tti[tti] = CoreRecord(
-                ts, te, tti, core.n_vertices(), core.n_edges,
+                ts, te, tti, core.n_vertices, core.n_edges,
                 core.signature() if signatures else frozenset(),
             )
     cores = list(by_tti.values())

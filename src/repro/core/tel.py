@@ -18,17 +18,17 @@ endpoints ``pu/pv``; per vertex its label ``labels`` (8 B) and
 ``inc_ptr``.
 
 **Per-copy state.** A TEL holds only flat counters of its own, so
-``copy()`` is a few memcpys: ``alive`` (1 B per edge), parallel edges
-per alive pair ``mult`` and distinct alive neighbours per vertex ``deg``
-(4 B each), plus ``head``/``tail``, position bounds of the alive edges
-that only move inwards: ``truncate`` moves them past the positions it
-drops, and ``get_tti`` tightens them to the first and last alive
-positions with ``alive.find``/``rfind`` (a C scan, O(1) amortised) and
-maps those two to their timestamps. Peeling uses a *below-k worklist*:
-every vertex whose degree drops below the TEL's threshold ``k`` is
-pushed once. ``signature()`` and ``drop_weak_pairs`` read only the
-positions ``[head, tail]``, so a core collected from a large window
-costs its TTI's positions, not the window's.
+``copy()`` is a few memcpys: ``alive`` (1 B per edge), parallel edges per
+alive pair ``mult`` and distinct alive neighbours per vertex ``deg`` (4 B
+each), the counts ``n_edges``/``n_vertices`` and ``head``/``tail``,
+position bounds of the alive edges that only move inwards: ``truncate``
+moves them past the positions it drops, and ``get_tti`` tightens them to
+the first and last alive positions with ``alive.find``/``rfind`` (a C
+scan, O(1) amortised) and maps those two to their timestamps. Peeling uses
+a *below-k worklist*: every vertex whose degree drops below the TEL's
+threshold ``k`` is pushed once. ``signature()`` and ``drop_weak_pairs``
+read only the positions ``[head, tail]``, so a core collected from a large
+window costs its TTI's positions, not the window's.
 
 **Input model.** A temporal graph is three parallel edge arrays
 ``edge_u/edge_v/edge_t`` of integers sorted by ``t`` (non-decreasing,
@@ -105,7 +105,7 @@ class TEL:
 
     __slots__ = (
         "ix", "alive", "mult", "deg", "head", "tail",
-        "n_edges", "nv", "k", "worklist",
+        "n_edges", "n_vertices", "k", "worklist",
     )
 
     def __init__(
@@ -189,7 +189,7 @@ class TEL:
         self.deg = _counts(np.bincount(np.concatenate((pu, pv)), minlength=nv))
         self.head, self.tail = 0, n - 1
         self.n_edges = m
-        self.nv = nv
+        self.n_vertices = nv
         self.k = 0
         self.worklist: list[int] = []
 
@@ -206,7 +206,7 @@ class TEL:
         cp.mult = self.mult[:]
         cp.deg = self.deg[:]
         cp.head, cp.tail = self.head, self.tail
-        cp.n_edges, cp.nv = self.n_edges, self.nv
+        cp.n_edges, cp.n_vertices = self.n_edges, self.n_vertices
         cp.k = self.k
         cp.worklist = self.worklist[:]
         return cp
@@ -249,7 +249,7 @@ class TEL:
                         elif not d:
                             gone += 1
         self.n_edges -= n
-        self.nv -= gone
+        self.n_vertices -= gone
 
     def del_edge(self, e: int) -> None:
         """Delete the edge with global id ``e`` (no-op if not alive)."""
@@ -277,9 +277,9 @@ class TEL:
         Multiplicities only fall, so one pass over the alive edges finds
         them all."""
         mult, pair = self.mult, self.ix.pair
-        live = self._live()
+        a, b = self.head, self.tail + 1
         self._drop([
-            i for i in compress(live, self.alive[live.start:live.stop])
+            i for i in compress(range(a, b), self.alive[a:b])
             if mult[pair[i]] < min_strength
         ])
 
@@ -305,34 +305,15 @@ class TEL:
 
     # -- derived views -----------------------------------------------------
 
-    def is_empty(self) -> bool:
-        return self.n_edges == 0
-
     def vertices(self) -> set[int]:
         """Vertices with at least one incident alive edge."""
         return set(compress(self.ix.labels, self.deg))
-
-    def n_vertices(self) -> int:
-        return self.nv
 
     def degrees(self) -> dict[int, int]:
         """Distinct alive neighbours of every vertex in :meth:`vertices`."""
         return {x: d for x, d in zip(self.ix.labels, self.deg) if d}
 
-    def _live(self) -> range:
-        """The position range ``[head, tail]`` that holds every alive edge."""
-        return range(self.head, self.tail + 1)
-
     def signature(self) -> frozenset[int]:
         """Edge-set identity of the represented subgraph: alive edge ids."""
-        live = self._live()
-        a, b = live.start, live.stop
+        a, b = self.head, self.tail + 1
         return frozenset(compress(self.ix.ids[a:b], self.alive[a:b]))
-
-    def timestamps(self) -> list[int]:
-        """Timestamps with at least one alive edge, ascending."""
-        tstart, alive = self.ix.tstart, self.alive
-        return [
-            x for j, x in enumerate(self.ix.tvals)
-            if alive.find(1, tstart[j], tstart[j + 1]) >= 0
-        ]

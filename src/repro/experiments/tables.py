@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import pandas as pd
 
-from ..core.otcd import otcd_query, tcd_query
+from ..core.otcd import otcd_query, tcd_query, within_span
 from ..core.tcd import window_tel
 from ..core.tel import TEL
 from ..datasets.temporal import DATASETS, edge_arrays, tick_to_date
@@ -137,9 +137,7 @@ def table6(*, sf: float = 1.0, k: int = 10) -> pd.DataFrame:
     t0 = time.perf_counter()
     res = otcd_query(tel, k, 1, spec.n_ticks, signatures=False)
     elapsed = time.perf_counter() - t0
-    one_day = [
-        c for c in res.cores if c.tti[1] - c.tti[0] + 1 <= spec.ticks_per_day
-    ]
+    one_day = within_span(res.cores, spec.ticks_per_day)
     one_day.sort(key=lambda c: -c.n_edges)
     # The paper lists nine *representative* <=1-day cores spanning four
     # orders of magnitude in size; sample evenly across the size-sorted
@@ -176,6 +174,7 @@ def fig7(*, sf: float = 1.0, qids: tuple[int, ...] | None = None) -> pd.DataFram
     baseline's PHC-Index build is offline in the paper and therefore
     excluded from its response time (reported separately)."""
     rows = []
+    cells = {"baseline": [], "TCD": [], "OTCD": []}
     name = edges = None
     for q in selected_queries(sf=sf):
         if qids is not None and q.qid not in qids:
@@ -219,7 +218,11 @@ def fig7(*, sf: float = 1.0, qids: tuple[int, ...] | None = None) -> pd.DataFram
                 "index build (s)": t_index,
             }
         )
-    return pd.DataFrame(rows)
+        for alg, res in zip(cells, (res_b, res_t, res_o)):
+            cells[alg].append(res.stats.cells_evaluated)
+    df = pd.DataFrame(rows)
+    df.attrs["cells"] = cells  # per algorithm, each row's cells_evaluated
+    return df
 
 
 def print_table(df: pd.DataFrame, title: str) -> None:

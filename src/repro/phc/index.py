@@ -50,8 +50,8 @@ def build_phc_index(edges: Sequence[Edge], k: int, Ts: int, Te: int) -> PHCIndex
     for ts, te, _, core in sweep(window, k, Ts, Te, prune=False):
         # A row's core only loses vertices as te descends, so an unchanged
         # vertex count means an unchanged vertex set.
-        if (ts, core.n_vertices()) != (row, n):
-            row, n, members = ts, core.n_vertices(), core.vertices()
+        if (ts, core.n_vertices) != (row, n):
+            row, n, members = ts, core.n_vertices, core.vertices()
         ct = index[ts]
         for v in members:
             ct[v] = te

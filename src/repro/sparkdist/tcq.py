@@ -76,9 +76,11 @@ def distributed_tcq_pdf(
         )
 
     with job_description(spark.sparkContext, "anchor blocks"):
-        rows = (
-            spark.range(Ts, Te + 1).mapInPandas(anchor_block, RESULT_SCHEMA).toPandas()
-        )
+        try:
+            blocks = spark.range(Ts, Te + 1).mapInPandas(anchor_block, RESULT_SCHEMA)
+            rows = blocks.toPandas()
+        finally:  # frees the driver's pickle file and the executors' blocks
+            bc.destroy()
     # Within one TTI the first inducing cell is in the smallest row. No two
     # rows tie on (TTI, first_ts): each block returns one row per TTI, and
     # blocks own disjoint anchor rows.

@@ -6,42 +6,62 @@ import pytest
 from repro.core.otcd import IntervalSet
 
 
+def assert_sorted_disjoint(s):
+    """The intervals are sorted, non-empty and neither overlap nor abut,
+    so each maximal covered run is exactly one interval."""
+    iv = s._iv
+    assert all(a <= b for a, b in iv)
+    for (a1, b1), (a2, b2) in zip(iv, iv[1:]):
+        assert b1 + 1 < a2
+
+
+def assert_covers(s, *runs):
+    """``s`` covers exactly the integers of ``runs`` (checked on 0..20)
+    and is sorted and disjoint, so its intervals are ``runs``."""
+    want = {x for a, b in runs for x in range(a, b + 1)}
+    for x in range(21):
+        assert (s.count_uncovered(x, x) == 0) == (x in want), x
+        assert s.next_uncovered_leq(x, x) == (None if x in want else x), x
+    assert s.count_uncovered(0, 20) == 21 - len(want)
+    assert_sorted_disjoint(s)
+
+
 class TestAdd:
     def test_disjoint(self):
         s = IntervalSet()
         assert s.add(1, 3) == 3
         assert s.add(10, 12) == 3
-        assert s.intervals() == [(1, 3), (10, 12)]
+        assert_covers(s, (1, 3), (10, 12))
 
     def test_overlap_counts_only_new(self):
         s = IntervalSet()
         s.add(1, 5)
         assert s.add(4, 8) == 3
-        assert s.intervals() == [(1, 8)]
+        assert_covers(s, (1, 8))
 
     def test_contained_adds_nothing(self):
         s = IntervalSet()
         s.add(1, 10)
         assert s.add(3, 7) == 0
-        assert s.intervals() == [(1, 10)]
+        assert_covers(s, (1, 10))
 
     def test_abutting_merges(self):
         s = IntervalSet()
         s.add(1, 3)
         s.add(4, 6)
-        assert s.intervals() == [(1, 6)]
+        assert_covers(s, (1, 6))
 
     def test_bridge_merge(self):
         s = IntervalSet()
         s.add(1, 3)
         s.add(7, 9)
         assert s.add(2, 8) == 3
-        assert s.intervals() == [(1, 9)]
+        assert_covers(s, (1, 9))
 
     def test_empty_interval(self):
         s = IntervalSet()
         assert s.add(5, 4) == 0
-        assert s.intervals() == []
+        assert_covers(s)
 
     def test_single_point(self):
         s = IntervalSet()
@@ -104,7 +124,4 @@ def test_random_against_set_model(seed):
         a, b = sorted((rng.randint(0, 55), rng.randint(0, 55)))
         want_n = sum(1 for c in range(a, b + 1) if c not in model)
         assert s.count_uncovered(a, b) == want_n
-    # intervals are sorted and disjoint
-    iv = s.intervals()
-    for (a1, b1), (a2, b2) in zip(iv, iv[1:]):
-        assert b1 + 1 < a2
+    assert_sorted_disjoint(s)

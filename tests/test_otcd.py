@@ -98,6 +98,24 @@ def test_subrange_equals_reference(seed, window):
     assert {core_edges(edges, c) for c in res.cores} == expect
 
 
+@pytest.mark.parametrize("window", [(1, 20), (12, 20), (5, 9)])
+def test_rows_of_the_whole_range_equal_the_default(window):
+    edges = bursty_temporal_graph(0)
+    Ts, Te = window
+    tel = tel_of(edges)
+    assert otcd_query(tel, 2, Ts, Te, rows=(Ts, Te)) == otcd_query(tel, 2, Ts, Te)
+
+
+@pytest.mark.parametrize("rows", [(5, 20), (12, 21), (0, 11), (15, 14)])
+def test_rejects_rows_outside_the_range(rows):
+    """A row before ``Ts`` would start the chain at ``[lo, Te]`` and
+    return cores outside ``[Ts, Te]``; an empty or later range is
+    rejected too."""
+    tel = tel_of(bursty_temporal_graph(0))
+    with pytest.raises(ValueError, match="rows"):
+        otcd_query(tel, 2, 12, 20, rows=rows)
+
+
 def test_first_inducer_reported_in_schedule_order():
     """The (ts, te) recorded for a core is the first cell that induced
     it: row-major order means ts is minimal, then te maximal."""

