@@ -55,35 +55,28 @@ class IntervalSet:
         if lo > hi:
             return 0
         iv = self._iv
-        i = bisect_left(iv, (lo, -1))
-        # Step back if the previous interval overlaps/abuts lo.
-        if i > 0 and iv[i - 1][1] >= lo - 1:
+        i = bisect_left(iv, (lo,))
+        if i and iv[i - 1][1] >= lo - 1:  # the previous run overlaps or touches lo
             i -= 1
-        new_lo, new_hi = lo, hi
-        newly = hi - lo + 1
-        j = i
-        while j < len(iv) and iv[j][0] <= new_hi + 1:
+        j, newly = i, hi - lo + 1
+        while j < len(iv) and iv[j][0] <= hi + 1:
             a, b = iv[j]
-            overlap = min(b, hi) - max(a, lo) + 1
-            if overlap > 0:
-                newly -= overlap
-            new_lo = min(new_lo, a)
-            new_hi = max(new_hi, b)
+            newly -= max(0, min(b, hi) - max(a, lo) + 1)
             j += 1
-        iv[i:j] = [(new_lo, new_hi)]
+        if j > i:
+            lo, hi = min(lo, iv[i][0]), max(hi, iv[j - 1][1])
+        iv[i:j] = [(lo, hi)]
         return newly
 
     def next_uncovered_leq(self, x: int, floor: int) -> int | None:
-        """Largest ``c <= x`` with ``c >= floor`` not covered, else None."""
-        c = x
+        """Largest ``c <= x`` with ``c >= floor`` not covered, else None.
+
+        Intervals never overlap or touch, so the integer just left of the
+        run covering ``x`` is uncovered."""
         iv = self._iv
-        while c >= floor:
-            i = bisect_left(iv, (c + 1, -1)) - 1
-            if i >= 0 and iv[i][0] <= c <= iv[i][1]:
-                c = iv[i][0] - 1
-            else:
-                return c
-        return None
+        i = bisect_left(iv, (x + 1,)) - 1  # last interval starting <= x
+        c = iv[i][0] - 1 if i >= 0 and iv[i][1] >= x else x
+        return c if c >= floor else None
 
     def count_uncovered(self, lo: int, hi: int) -> int:
         """How many integers in ``[lo, hi]`` are not covered."""
@@ -95,45 +88,6 @@ class IntervalSet:
             if overlap > 0:
                 total -= overlap
         return total
-
-
-def _apply_pruning(
-    ts: int,
-    te: int,
-    tti: tuple[int, int],
-    pruned: dict[int, IntervalSet],
-    stats: QueryStats,
-    hi: int,
-    pou_hw: int,
-) -> int:
-    """Algorithm 3 on the trigger cell ``[ts, te]`` with TTI ``tti``: PoU
-    and PoL mark later rows up to ``hi``, the last swept. PoR's cells lie
-    left of the trigger, where :func:`sweep` does not return, so PoR only
-    counts those no earlier row marked.
-
-    ``pou_hw`` is row ``ts``'s PoU high-water mark: rows ``ts+1..pou_hw``
-    already hold PoU marks ``[r, te_1]`` from an earlier trigger of this
-    row, and ``te`` only falls along a row, so ``[r, te]`` is inside
-    them. PoU marks only the rows above it; returns the new mark."""
-    ts_p, te_p = tti
-    if te_p < te:  # Rule 1: PoR — cells [ts, te-1] .. [ts, te'].
-        stats.por_triggers += 1
-        stats.por_pruned += pruned[ts].count_uncovered(te_p, te - 1)
-    if ts_p > ts:  # Rule 2: PoU — rows ts+1..ts', columns te .. r.
-        stats.pou_triggers += 1
-        top = min(ts_p, hi)
-        n = 0
-        for r in range(pou_hw + 1, top + 1):
-            n += pruned[r].add(r, te)
-        stats.pou_pruned += n
-        pou_hw = max(pou_hw, top)
-    if ts_p > ts and te_p < te:  # Rule 3: PoL — rows ts'+1..te', cols te'+1..te.
-        stats.pol_triggers += 1
-        n = 0
-        for r in range(ts_p + 1, min(te_p, hi) + 1):
-            n += pruned[r].add(te_p + 1, te)
-        stats.pol_pruned += n
-    return pou_hw
 
 
 def sweep(
@@ -178,6 +132,8 @@ def sweep(
         stats.rows_started += 1
         # The last row may consume the chain; the others sweep a copy.
         row = chain if ts == hi else chain.copy()
+        # te only falls along a row, so rows ts+1..pou_hw already hold a
+        # wider PoU mark [r, te_1] of an earlier trigger in this row.
         pou_hw = ts
         while te is not None and te >= ts:
             if te < Te:  # cell [ts, Te] was evaluated by the chain step
@@ -187,11 +143,24 @@ def sweep(
                 break
             tti = row.get_tti()
             yield ts, te, tti, row
-            if prune:
-                pou_hw = _apply_pruning(ts, te, tti, pruned, stats, hi, pou_hw)
-                te = prow.next_uncovered_leq(tti[1] - 1, ts)  # PoR jump
-            else:
+            if not prune:
                 te -= 1
+                continue
+            ts_p, te_p = tti
+            if te_p < te:  # PoR: the jump below skips [ts, te-1] .. [ts, te']
+                stats.por_triggers += 1
+                stats.por_pruned += prow.count_uncovered(te_p, te - 1)
+            if ts_p > ts:  # PoU: rows ts+1..ts', columns te .. r
+                stats.pou_triggers += 1
+                top = min(ts_p, hi)
+                for r in range(pou_hw + 1, top + 1):
+                    stats.pou_pruned += pruned[r].add(r, te)
+                pou_hw = max(pou_hw, top)
+                if te_p < te:  # PoL: rows ts'+1..te', columns te .. te'+1
+                    stats.pol_triggers += 1
+                    for r in range(ts_p + 1, min(te_p, hi) + 1):
+                        stats.pol_pruned += pruned[r].add(te_p + 1, te)
+            te = prow.next_uncovered_leq(te_p - 1, ts)
 
 
 def check_query(k: int, Ts: int, Te: int) -> None:
@@ -256,7 +225,10 @@ def within_span(cores: Sequence[CoreRecord], max_span: int) -> list[CoreRecord]:
 
 def top_n_shortest_span(cores: Sequence[CoreRecord], n: int) -> list[CoreRecord]:
     """The ``n`` result cores with the shortest TTI span, ties broken by
-    TTI start (the top-n variant of the time-span extension, §6.2)."""
+    TTI start (the top-n variant of the time-span extension, §6.2).
+    Raises ``ValueError`` for ``n < 0``."""
+    if n < 0:
+        raise ValueError(f"top_n_shortest_span needs n >= 0; got {n}")
     return sorted(cores, key=lambda c: (c.tti[1] - c.tti[0], c.tti))[:n]
 
 

@@ -35,15 +35,16 @@ window costs its TTI's positions, not the window's.
 ties in arrival order), and an edge's id is its position. Sortedness
 makes every window ``G_[ts,te]`` a contiguous id range that
 :func:`repro.core.tcd.window_ids` cuts by binary search and a truncation
-one position range. ``TEL(...)`` raises ``ValueError`` on non-integer
-values or ids that are not time-sorted. Self-loops ``(v, v, t)`` keep
-their id but never join a TEL: degree counts distinct *other* vertices.
-A TEL reads the arrays once, while it builds its index, and keeps no
-reference to them; the index is never mutated after the build. A
-dynamic graph (paper §6.1) appends new edges, in time order, to arrays
-of its caller and cuts the next query's window again: ids stay
-positions, and ``TEL(...)`` rejects a window holding an out-of-order
-append.
+one position range. ``TEL(...)`` raises ``ValueError`` on columns of
+different lengths, ids that are not a contiguous range inside them,
+non-integer values or ids that are not time-sorted. Self-loops
+``(v, v, t)`` keep their id but never join a TEL: degree counts distinct
+*other* vertices. A TEL reads the arrays once, while it builds its
+index, and keeps no reference to them; the index is never mutated after
+the build. A dynamic graph (paper §6.1) appends new edges, in time
+order, to arrays of its caller and cuts the next query's window again:
+ids stay positions, and ``TEL(...)`` rejects a window holding an
+out-of-order append.
 """
 from __future__ import annotations
 
@@ -115,8 +116,15 @@ class TEL:
         edge_t: Sequence[int],
         eids: range | None = None,
     ) -> None:
-        if eids is None:
-            eids = range(len(edge_u))
+        n_all = len(edge_t)
+        eids = range(n_all) if eids is None else eids
+        if not (len(edge_u) == len(edge_v) == n_all and isinstance(eids, range)
+                and eids.step == 1 and 0 <= eids.start <= eids.stop <= n_all):
+            raise ValueError(
+                f"edge columns of lengths {len(edge_u)}/{len(edge_v)}/{n_all} "
+                f"with ids {eids!r}: the columns must be equally long and the "
+                "ids a contiguous range inside them"
+            )
         ix = self.ix = _Index()
         ix.ids = eids
 

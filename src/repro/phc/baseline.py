@@ -42,15 +42,19 @@ def iphc_query(
     :mod:`repro.core.tel` (sorted by ``t``, ids = positions), so
     signatures are comparable with the TEL-based algorithms and the
     window is cut by binary search, as for TCD and OTCD; self-loops are
-    ignored. The index must cover anchors ``Ts..Te`` at this ``k`` (see
-    ``build_phc_index``). Raises ``ValueError`` outside the input model
-    (``k >= 1``, ``Ts <= Te``).
+    ignored. The index must cover anchors ``Ts..Te`` (see
+    ``build_phc_index``) and a missing anchor raises ``ValueError``; it
+    must also be built at this ``k``, which a plain dict cannot show, so
+    the caller passes the index's ``k``. Raises ``ValueError`` outside the
+    input model (``k >= 1``, ``Ts <= Te``).
     """
     check_query(k, Ts, Te)
     span = Te - Ts + 1
     res = QueryResult(stats=QueryStats(cells_total=span * (span + 1) // 2))
     seen: set[frozenset[int]] = set()
     ids = window_ids(edges, Ts, Te, key=itemgetter(2))
+    if any(ts not in index for ts in range(Ts, Te + 1)):
+        raise ValueError(f"the PHC-Index does not cover every anchor of [{Ts}, {Te}]")
     window = [
         (t, e, u, v)
         for e, (u, v, t) in enumerate(edges[ids.start:ids.stop], ids.start)
@@ -58,7 +62,7 @@ def iphc_query(
     ]
 
     for ts in range(Ts, Te + 1):
-        hv = [(ct, v) for v, ct in index.get(ts, {}).items()]
+        hv = [(ct, v) for v, ct in index[ts].items()]
         heapq.heapify(hv)
         # ``window`` is sorted by (t, e), so its suffix is already a heap.
         he = window[bisect_left(window, (ts,)):]

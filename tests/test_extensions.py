@@ -76,6 +76,13 @@ class TestTimeSpan:
         all_spans = sorted(c.tti[1] - c.tti[0] for c in cores)
         assert spans == all_spans[: len(top)]
 
+    def test_top_n_rejects_negative_n(self):
+        """``[:-1]`` once returned every core but one (93 of 94)."""
+        cores = otcd_query(tel_of(bursty_temporal_graph(0)), 2, 1, 20).cores
+        assert top_n_shortest_span(cores, 0) == []
+        with pytest.raises(ValueError, match="n >= 0"):
+            top_n_shortest_span(cores, -1)
+
 
 class TestDynamic:
     """Dynamic graphs (§6.1): new edges append, in time order, to the

@@ -76,6 +76,15 @@ class TestBaseline:
         index = build_phc_index(edges, 2, 1, 2)
         assert iphc_query(edges, index, 2, 1, 2).cores == []
 
+    def test_rejects_an_index_not_covering_the_query(self):
+        """An index over anchors 4..20 once answered [1, 20] with 67 of
+        OTCD's 94 cores."""
+        edges = bursty_temporal_graph(0)
+        with pytest.raises(ValueError, match="does not cover"):
+            iphc_query(edges, build_phc_index(edges, 2, 4, 20), 2, 1, 20)
+        with pytest.raises(ValueError, match="does not cover"):
+            iphc_query(edges, build_phc_index(edges, 2, 1, 19), 2, 1, 20)
+
     def test_tti_and_counts_recorded(self):
         edges = bursty_temporal_graph(3)
         index = build_phc_index(edges, 2, 1, 20)

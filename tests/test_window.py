@@ -149,6 +149,24 @@ def test_tel_checks_time_order(us, vs, ts, eids):
             TEL(us, vs, ts, eids=eids)
 
 
+@pytest.mark.parametrize(
+    "us, vs, ts, eids",
+    [
+        # A longer edge_u: 7 edges counted, 6 alive bytes.
+        ([0, 1, 2, 0, 1, 2, 3], [1, 2, 0, 1, 2, 0, 0], [1, 1, 1, 2, 2, 3], None),
+        ([0, 1, 2], [1, 2, 0, 5], [1, 1, 1, 1], None),
+        # 6 positions for the 3 ids of a step-2 range.
+        ([0, 1, 2, 0, 1, 2], [1, 2, 0, 1, 2, 0], [1, 1, 1, 2, 2, 3], range(0, 6, 2)),
+        # A range past the end: 2 of its 5 ids exist.
+        ([0, 1, 2, 0, 1, 2], [1, 2, 0, 1, 2, 0], [1, 1, 1, 2, 2, 3], range(4, 9)),
+        ([0, 1, 2, 0, 1, 2], [1, 2, 0, 1, 2, 0], [1, 1, 1, 2, 2, 3], [0, 1, 2]),
+    ],
+)
+def test_tel_checks_columns_and_ids(us, vs, ts, eids):
+    with pytest.raises(ValueError, match="contiguous range"):
+        TEL(us, vs, ts, eids=eids)
+
+
 @pytest.mark.parametrize("ts", [[1, 2.5], [1.0, 2.0], [1, "2"], [None, 1], [True, True]])
 def test_tel_rejects_non_integer_timestamps(ts):
     with pytest.raises(ValueError, match="integers"):
