@@ -2,6 +2,8 @@
 dataset and check it returns the same distinct cores (by TTI) as the
 driver-side OTCD. This is the cluster path the paper's §7.2 points to
 for graphs whose TEL exceeds single-node memory."""
+import time
+
 import pandas as pd
 
 from repro.core.otcd import otcd_query
@@ -10,10 +12,11 @@ from repro.experiments.queries import selected_queries
 from repro.experiments.tables import print_table, query_tel
 from repro.sparkdist.tcq import distributed_tcq_pdf
 
-from _common import run_cli
+from _common import print_summary, run_cli
 
 
 def main(spark, *, sf: float = 1.0) -> pd.DataFrame:
+    started = time.perf_counter()
     rows = []
     picked = {}
     for q in selected_queries(sf=sf):
@@ -31,10 +34,15 @@ def main(spark, *, sf: float = 1.0) -> pd.DataFrame:
                 "distributed #": len(got),
                 "driver OTCD #": len(want.cores),
                 "TTIs match": ok,
+                "peel rounds": got.attrs["peel_rounds"],
             }
         )
     df = pd.DataFrame(rows)
     print_table(df, f"Distributed TCQ vs driver OTCD (sf={sf})")
+    print_summary(
+        __file__, sf, started, queries=len(df), cores=df["distributed #"].sum(),
+        peel_rounds=df["peel rounds"].sum(),
+    )
     assert df["TTIs match"].all(), "distributed TCQ disagrees with OTCD"
     return df
 

@@ -3,16 +3,19 @@
 Statistics are computed distributedly (Spark aggregations over the
 generated edge DataFrames) and printed next to the paper's values.
 """
+import time
+
 from repro.datasets.temporal import DATASETS, generate
 from repro.experiments.tables import DATASET_ORDER, print_table
 from repro.sparkdist.graph_io import graph_stats
 
 import pandas as pd
 
-from _common import run_cli
+from _common import print_summary, run_cli
 
 
 def main(spark, *, sf: float = 1.0) -> pd.DataFrame:
+    started = time.perf_counter()
     rows = []
     for name in DATASET_ORDER:
         spec = DATASETS[name].scaled(sf)
@@ -31,6 +34,7 @@ def main(spark, *, sf: float = 1.0) -> pd.DataFrame:
         )
     df = pd.DataFrame(rows)
     print_table(df, f"Table 2 — datasets (sf={sf})")
+    print_summary(__file__, sf, started, datasets=len(df), edges=df["|E|"].sum())
     return df
 
 

@@ -33,7 +33,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from typing import Iterator, Sequence
 
-from .records import CoreRecord, QueryResult, QueryStats
+from .records import CoreRecord, QueryResult, QueryStats, edge_signature
 from .tcd import tcd_operation
 from .tel import TEL
 
@@ -119,6 +119,10 @@ def sweep(
         stats = QueryStats()
     pruned: dict[int, IntervalSet] = defaultdict(IntervalSet)
     chain = graph.copy()  # will hold T^k_[ts, Te] as ts advances
+    # After its first step the chain loses only prefixes and a row only
+    # suffixes, so both kill pairs, not edges (TEL.flag_pairs); the
+    # link-strength extension counts edges per pair and keeps the edge path.
+    by_pair = min_strength == 1
     for ts in range(lo, hi + 1):
         prow = pruned[ts]
         te = prow.next_uncovered_leq(Te, ts) if prune else Te
@@ -131,7 +135,14 @@ def sweep(
             break  # T^k_[ts,Te] empty ⇒ all remaining rows empty too
         stats.rows_started += 1
         # The last row may consume the chain; the others sweep a copy.
-        row = chain if ts == hi else chain.copy()
+        if ts == hi:
+            row = chain
+        else:
+            if by_pair and chain.ends is None:
+                chain.flag_pairs(last=True)
+            row = chain.copy()
+        if by_pair:
+            row.flag_pairs(last=False)
         # te only falls along a row, so rows ts+1..pou_hw already hold a
         # wider PoU mark [r, te_1] of an earlier trigger in this row.
         pou_hw = ts
@@ -203,6 +214,7 @@ def otcd_query(
     span = Te - Ts + 1
     stats = QueryStats(cells_total=span * (span + 1) // 2)
     by_tti: dict[tuple[int, int], CoreRecord] = {}
+    no_edges = edge_signature(())
     for ts, te, tti, core in sweep(
         graph, k, Ts, Te,
         rows=rows, prune=prune, min_strength=min_strength, stats=stats,
@@ -210,7 +222,7 @@ def otcd_query(
         if tti not in by_tti:
             by_tti[tti] = CoreRecord(
                 ts, te, tti, core.n_vertices, core.n_edges,
-                core.signature() if signatures else frozenset(),
+                core.signature() if signatures else no_edges,
             )
     cores = list(by_tti.values())
     stats.cores_collected = len(cores)

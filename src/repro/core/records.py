@@ -2,12 +2,38 @@
 
 A temporal k-core result is reported as the subinterval that induced it
 (first induction wins), its Tightest Time Interval, its vertex/edge
-counts, and an edge-set ``signature`` (frozenset of stable edge ids)
-that is the ground-truth identity used to cross-check algorithms.
+counts, and an edge-set ``signature`` that is the ground-truth identity
+used to cross-check algorithms.
+
+A signature is one hashable pair ``(first, bits)``: the smallest edge id
+of the set and ``bits``, the little-endian ``np.packbits`` of the
+membership of the ids ``first .. last`` (bit ``j`` of byte ``j // 8``
+says whether ``first + j`` is in the set). The first and last bits are
+set, so equal edge sets, and only they, give equal signatures; the empty
+set is ``(0, b"")``. It costs one bit per id of the span instead of a
+Python int per edge, and a TEL reads it straight off its ``alive`` bytes
+(:meth:`repro.core.tel.TEL.signature`); :func:`edge_signature` encodes
+any other edge set, such as iPHC's.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
+
+import numpy as np
+
+Signature = tuple[int, bytes]
+
+
+def edge_signature(ids: Iterable[int]) -> Signature:
+    """The signature of the edge-id set ``ids`` (see the module docstring)."""
+    a = np.fromiter(ids, np.int64)
+    if not a.size:
+        return 0, b""
+    first = int(a.min())
+    bits = np.zeros(int(a.max()) - first + 1, np.uint8)
+    bits[a - first] = 1
+    return first, np.packbits(bits, bitorder="little").tobytes()
 
 
 @dataclass(frozen=True)
@@ -19,7 +45,7 @@ class CoreRecord:
     tti: tuple[int, int]
     n_vertices: int
     n_edges: int
-    signature: frozenset[int]
+    signature: Signature
 
     def key(self) -> tuple:
         """Canonical identity for cross-algorithm comparison."""

@@ -10,7 +10,8 @@ time-sorted (the input model below), all three are flat arrays here.
 window with NumPy; ``copy()`` shares it. Local *positions* ``0..n-1``
 number the window's edges in id order. Per edge (4-byte ints): its
 vertex-pair id ``pair`` (-1 for a self-loop) and two CSR incidence
-entries ``inc`` (the SL/DL), 12 B in all; the global id of a position is
+entries ``inc`` (the SL/DL, each vertex's positions ascending), 12 B in
+all; the global id of a position is
 ``ids[pos]``, a ``range`` (0 B). Per distinct timestamp: its value
 ``tvals`` (8 B) and the first position ``tstart`` (4 B), so the
 timestamp of a position is one ``bisect`` away; per pair its dense
@@ -26,9 +27,24 @@ moves them past the positions it drops, and ``get_tti`` tightens them to
 the first and last alive positions with ``alive.find``/``rfind`` (a C
 scan, O(1) amortised) and maps those two to their timestamps. Peeling uses
 a *below-k worklist*: every vertex whose degree drops below the TEL's
-threshold ``k`` is pushed once. ``signature()`` and ``drop_weak_pairs``
-read only the positions ``[head, tail]``, so a core collected from a large
-window costs its TTI's positions, not the window's.
+threshold ``k`` is pushed once, and a peeled vertex visits only its
+positions inside ``[head, tail]`` (two bisections of its incidence).
+``signature()`` and ``drop_weak_pairs`` read only the positions
+``[head, tail]``, so a core collected from a large window costs its TTI's
+positions, not the window's.
+
+**Pair mode.** A TEL cut edge by edge (the *edge path*) keeps ``alive``
+exact everywhere and ``mult`` as counts. The schedule sweep cuts its
+copies from one side only, and peeling deletes whole pairs, so a pair
+dies exactly when a cut reaches its last alive edge (the chain, which
+loses prefixes) or its first (a row, which loses suffixes).
+``flag_pairs`` marks those positions in a per-copy bytearray ``ends``
+(1 B per edge, shared by later ``copy()`` calls and never mutated) and
+turns ``mult`` into a 0/1 pair-alive flag. A cut then subtracts the alive
+bytes of its range from ``n_edges``, moves ``head`` or ``tail`` and kills
+the flagged pairs in the range; the other edges of a killed pair lie past
+the new bound and keep stale ``alive`` bytes, which nothing reads.
+Inside ``[head, tail]`` a position is alive exactly when its pair is.
 
 **Input model.** A temporal graph is three parallel edge arrays
 ``edge_u/edge_v/edge_t`` of integers sorted by ``t`` (non-decreasing,
@@ -55,6 +71,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import pandas as pd
+
+from .records import Signature, edge_signature
 
 
 def _column(seq: Sequence, ids: range, what: str) -> np.ndarray:
@@ -85,7 +103,8 @@ def _counts(a: np.ndarray) -> array:
 
 class _Index:
     """The immutable per-window arrays every copy of a TEL shares (see the
-    module docstring)."""
+    module docstring): read-only views whose ``.obj`` is the NumPy array
+    behind them."""
 
     __slots__ = (
         "ids", "tvals", "tstart", "pair", "pu", "pv",
@@ -106,7 +125,7 @@ class TEL:
 
     __slots__ = (
         "ix", "alive", "mult", "deg", "head", "tail",
-        "n_edges", "n_vertices", "k", "worklist",
+        "n_edges", "n_vertices", "k", "worklist", "ends", "ends_last",
     )
 
     def __init__(
@@ -143,8 +162,8 @@ class TEL:
         del t, first, tstart
 
         # Dense vertex ids in label order over the non-loop edges. The same
-        # stable sort of the endpoints gives the SL/DL: a CSR incidence
-        # listing each vertex's edges in position order.
+        # stable sort of the interleaved endpoints gives the SL/DL: a CSR
+        # incidence listing each vertex's edges in position order.
         u = _column(edge_u, eids, "vertex ids")
         v = _column(edge_v, eids, "vertex ids")
         keep = u != v
@@ -152,7 +171,8 @@ class TEL:
         if loops:
             u, v = u[keep], v[keep]
         m = len(u)
-        both = np.concatenate((u, v))
+        both = np.empty(2 * m, np.int64)
+        both[0::2], both[1::2] = u, v
         del u, v
         order = np.argsort(both, kind="stable")
         both = both[order]
@@ -165,14 +185,14 @@ class TEL:
         ends = np.empty(2 * m, np.int32)
         ends[order] = np.cumsum(first, dtype=np.int32) - 1
         del first, starts
-        np.remainder(order, max(m, 1), out=order)
+        np.floor_divide(order, 2, out=order)
         if loops:
             order = np.flatnonzero(keep)[order]
         ix.inc = _mv(order)
         del order
 
         # Vertex pairs: dense ids of the distinct endpoint pairs.
-        du, dv = ends[:m], ends[m:]
+        du, dv = ends[0::2], ends[1::2]
         key = np.minimum(du, dv).astype(np.int64)
         key *= nv
         key += np.maximum(du, dv)
@@ -200,6 +220,8 @@ class TEL:
         self.n_vertices = nv
         self.k = 0
         self.worklist: list[int] = []
+        self.ends: bytearray | None = None
+        self.ends_last = False
 
     # -- factories ---------------------------------------------------------
 
@@ -217,47 +239,110 @@ class TEL:
         cp.n_edges, cp.n_vertices = self.n_edges, self.n_vertices
         cp.k = self.k
         cp.worklist = self.worklist[:]
+        cp.ends, cp.ends_last = self.ends, self.ends_last  # never mutated
         return cp
 
+    def flag_pairs(self, last: bool) -> None:
+        """Flag each alive pair's first alive position (its last with
+        ``last``) in ``ends`` and make ``mult`` a 0/1 pair-alive flag.
+
+        From then on the TEL is cut from one side only: its prefix with
+        ``last`` (the sweep's row-start chain, whose ``te`` stays ``Te``),
+        its suffix without (a row, whose ``ts`` stays put). A pair then dies
+        exactly when the cut reaches its flagged position, so a cut kills the
+        flagged pairs in its range and visits no other edge; ``alive`` goes
+        stale outside ``[head, tail]``. A cut from the other side raises
+        ``ValueError``; ``del_edge`` and ``drop_weak_pairs`` need the edge
+        path and must not be called."""
+        h, end = self.head, self.tail + 1
+        ends = bytearray(len(self.alive))
+        if h < end:
+            pos = np.frombuffer(self.alive, np.bool_, end - h, h).nonzero()[0]
+            pos += h
+            pairs = self.ix.pair.obj[pos].astype(np.intp)
+            at = np.empty(len(self.mult), np.intp)
+            at[pairs] = -1 if last else end
+            (np.maximum if last else np.minimum).at(at, pairs, pos)
+            np.frombuffer(ends, np.bool_)[at[pairs]] = True
+        mult = np.frombuffer(self.mult, np.int32)
+        np.minimum(mult, 1, out=mult)
+        self.ends, self.ends_last = ends, last
+
     # -- manipulations (paper Table 1) -------------------------------------
+
+    def _bounds(self) -> tuple[int, int]:
+        """Tighten ``head``/``tail`` to the first and last alive positions
+        (the TEL must hold an edge)."""
+        alive, end = self.alive, self.tail + 1
+        h = self.head = alive.find(1, self.head, end)
+        t = self.tail = alive.rfind(1, h, end)
+        return h, t
 
     def get_tti(self) -> tuple[int, int] | None:
         """Timestamps of the first and last alive edges (``None`` if empty)."""
         if not self.n_edges:
             return None
-        alive, end = self.alive, self.tail + 1
-        h = self.head = alive.find(1, self.head, end)
-        t = self.tail = alive.rfind(1, h, end)
+        h, t = self._bounds()
         tvals, tstart = self.ix.tvals, self.ix.tstart
         return tvals[bisect_right(tstart, h) - 1], tvals[bisect_right(tstart, t) - 1]
 
-    def _drop(self, positions: Iterable[int]) -> None:
-        """Delete the alive edges among ``positions``: update pair
-        multiplicities and degrees, and push every vertex whose degree
-        falls below ``k`` on the worklist."""
-        alive, mult, deg = self.alive, self.mult, self.deg
-        ix = self.ix
-        pair, pu, pv = ix.pair, ix.pu, ix.pv
+    def _kill(self, pairs: Iterable[int]) -> None:
+        """Kill the alive pairs among ``pairs`` (``mult`` drops to 0): their
+        endpoints lose a neighbour each, and every vertex whose degree falls
+        below ``k`` is pushed on the worklist. Their edges are the caller's."""
+        mult, deg = self.mult, self.deg
+        pu, pv = self.ix.pu, self.ix.pv
         below = self.k - 1
         wl = self.worklist
-        n = gone = 0
+        gone = 0
+        for p in pairs:
+            if mult[p]:
+                mult[p] = 0
+                for a in (pu[p], pv[p]):
+                    d = deg[a] - 1
+                    deg[a] = d
+                    if d == below:
+                        wl.append(a)
+                    elif not d:
+                        gone += 1
+        self.n_vertices -= gone
+
+    def _drop(self, positions: Iterable[int]) -> None:
+        """Delete the alive edges among ``positions`` one by one (the edge
+        path): a pair dies with its last alive edge."""
+        alive, mult, pair = self.alive, self.mult, self.ix.pair
+        n = 0
+        last = []
         for i in positions:
             if alive[i]:
                 alive[i] = 0
                 n += 1
                 p = pair[i]
-                m = mult[p] - 1
-                mult[p] = m
-                if not m:  # last parallel edge: the two stop being neighbours
-                    for a in (pu[p], pv[p]):
-                        d = deg[a] - 1
-                        deg[a] = d
-                        if d == below:
-                            wl.append(a)
-                        elif not d:
-                            gone += 1
+                if mult[p] == 1:  # its last alive edge
+                    last.append(p)
+                else:
+                    mult[p] -= 1
         self.n_edges -= n
-        self.n_vertices -= gone
+        self._kill(last)
+
+    def _cut(self, a: int, b: int, left: bool) -> None:
+        """Delete the alive edges of positions ``[a, b)``, a prefix (``left``)
+        or a suffix of ``[head, tail]``: edge by edge, or by killing the pairs
+        flagged in the range (:meth:`flag_pairs`)."""
+        ends = self.ends
+        if ends is None:
+            self._drop(compress(range(a, b), self.alive[a:b]))
+            return
+        if left is not self.ends_last:
+            raise ValueError("a flagged TEL is cut from its flagged side only")
+        self.n_edges -= self.alive.count(1, a, b)
+        pair = self.ix.pair
+        if b - a < 64:  # below this NumPy's fixed cost outweighs the scan
+            self._kill(map(pair.__getitem__, compress(range(a, b), ends[a:b])))
+        else:
+            flagged = np.frombuffer(ends, np.bool_, b - a, a).nonzero()[0]
+            flagged += a
+            self._kill(pair.obj[flagged].tolist())
 
     def del_edge(self, e: int) -> None:
         """Delete the edge with global id ``e`` (no-op if not alive)."""
@@ -266,18 +351,18 @@ class TEL:
             self._drop((e - ids.start,))
 
     def truncate(self, ts: int, te: int) -> None:
-        """Delete the edges outside ``[ts, te]``: the position ranges from
-        ``head`` up to the first position at or after ``ts`` and from the
-        first position after ``te`` down to ``tail``."""
-        tvals, tstart, alive = self.ix.tvals, self.ix.tstart, self.alive
-        h = self.head
-        b = tstart[bisect_left(tvals, ts)]
+        """Delete the edges outside ``[ts, te]``: the positions from ``head``
+        up to the first position at or after ``ts`` and those from the first
+        position after ``te`` down to ``tail``."""
+        tvals, tstart = self.ix.tvals, self.ix.tstart
+        h, t = self.head, self.tail
+        b = min(tstart[bisect_left(tvals, ts)], t + 1)
         if b > h:
-            self._drop(compress(range(h, b), alive[h:b]))
-            self.head = b
-        a, end = tstart[bisect_right(tvals, te)], self.tail + 1
-        if a < end:
-            self._drop(compress(range(a, end), alive[a:end]))
+            self._cut(h, b, True)
+            self.head = h = b
+        a = max(tstart[bisect_right(tvals, te)], h)
+        if a <= t:
+            self._cut(a, t + 1, False)
             self.tail = a - 1
 
     def drop_weak_pairs(self, min_strength: int) -> None:
@@ -296,7 +381,9 @@ class TEL:
         repeatedly (the k-core). The worklist holds every vertex whose
         degree fell below the threshold ``self.k``; a higher ``k`` rescans
         the degrees, and ``k <= 1`` has nothing to peel and keeps the
-        worklist for the next call."""
+        worklist for the next call. A vertex's incident positions are
+        sorted, so two bisections find those inside ``[head, tail]``; each
+        pair dies at the first alive edge met."""
         if k <= 1:
             return
         deg = self.deg
@@ -304,12 +391,23 @@ class TEL:
             self.worklist = [v for v, d in enumerate(deg) if 0 < d < k]
         self.k = k
         ix = self.ix
-        inc, ptr = ix.inc, ix.inc_ptr
+        inc, ptr, pair = ix.inc, ix.inc_ptr, ix.pair
+        alive, h, t = self.alive, self.head, self.tail
         wl = self.worklist
-        while wl:
-            v = wl.pop()
-            if 0 < deg[v] < k:
-                self._drop(inc[ptr[v]:ptr[v + 1]])
+        while wl:  # one round per batch of pushed vertices
+            batch = wl[:]
+            wl.clear()
+            dead = []
+            for v in batch:
+                if 0 < deg[v] < k:
+                    e = ptr[v + 1]
+                    a = bisect_left(inc, h, ptr[v], e)
+                    for i in inc[a:bisect_right(inc, t, a, e)]:
+                        if alive[i]:
+                            alive[i] = 0
+                            dead.append(i)
+            self.n_edges -= len(dead)
+            self._kill(map(pair.__getitem__, dead))
 
     # -- derived views -----------------------------------------------------
 
@@ -321,7 +419,12 @@ class TEL:
         """Distinct alive neighbours of every vertex in :meth:`vertices`."""
         return {x: d for x, d in zip(self.ix.labels, self.deg) if d}
 
-    def signature(self) -> frozenset[int]:
-        """Edge-set identity of the represented subgraph: alive edge ids."""
-        a, b = self.head, self.tail + 1
-        return frozenset(compress(self.ix.ids[a:b], self.alive[a:b]))
+    def signature(self) -> Signature:
+        """Edge-set identity of the represented subgraph: the global id of
+        the first alive edge and the packed alive bits from it to the last
+        (the format of :func:`repro.core.records.edge_signature`)."""
+        if not self.n_edges:
+            return edge_signature(())
+        h, t = self._bounds()
+        bits = np.frombuffer(self.alive, np.uint8, t + 1 - h, h)
+        return self.ix.ids[h], np.packbits(bits, bitorder="little").tobytes()

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from ..core.otcd import check_query
-from ..core.records import CoreRecord, QueryResult, QueryStats
+from ..core.records import CoreRecord, QueryResult, QueryStats, Signature, edge_signature
 from ..core.tcd import window_ids
 from .index import PHCIndex
 
@@ -51,7 +51,7 @@ def iphc_query(
     check_query(k, Ts, Te)
     span = Te - Ts + 1
     res = QueryResult(stats=QueryStats(cells_total=span * (span + 1) // 2))
-    seen: set[frozenset[int]] = set()
+    seen: set[Signature] = set()
     ids = window_ids(edges, Ts, Te, key=itemgetter(2))
     if any(ts not in index for ts in range(Ts, Te + 1)):
         raise ValueError(f"the PHC-Index does not cover every anchor of [{Ts}, {Te}]")
@@ -91,7 +91,7 @@ def iphc_query(
                 heapq.heappush(he, item)
             if not changed or not V or not E:
                 continue
-            sig = frozenset(E)
+            sig = edge_signature(E)
             if sig in seen:
                 continue
             seen.add(sig)

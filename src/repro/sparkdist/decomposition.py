@@ -34,16 +34,17 @@ def job_description(sc: SparkContext, text: str) -> Iterator[None]:
         sc.setJobDescription(prev)
 
 
-def peel(edges: DataFrame, k: int) -> DataFrame:
-    """Edges of the k-core of the (already projected) temporal graph.
+def peel(edges: DataFrame, k: int) -> tuple[DataFrame, int]:
+    """Edges of the k-core of the (already projected) temporal graph, and
+    the number of degree rounds that found them.
 
     Iteratively removes all vertices with degree < k at once (standard
     synchronous peeling — same fixpoint as the sequential algorithm).
     Each round checkpoints the vertices of degree < k, then tests them for
     emptiness. A round that finds one deletes at least one of its edges,
-    so the loop ends. Returns an empty DataFrame with the same schema if
-    no k-core exists. Round ``i``'s jobs are described ``peel round i``
-    (round 0 materialises the input).
+    so the loop ends; the last round finds none. The edges are an empty
+    DataFrame with the same schema if no k-core exists. Round ``i``'s jobs
+    are described ``peel round i`` (round 0 materialises the input).
     """
     sc = edges.sparkSession.sparkContext
     with job_description(sc, "peel round 0"):
@@ -55,7 +56,7 @@ def peel(edges: DataFrame, k: int) -> DataFrame:
                 .localCheckpoint(eager=True)
             )
             if bad.isEmpty():
-                return cur
+                return cur, i
             cur = (
                 cur.join(bad.withColumnRenamed("vtx", "u"), "u", "left_anti")
                 .join(bad.withColumnRenamed("vtx", "v"), "v", "left_anti")
@@ -64,7 +65,9 @@ def peel(edges: DataFrame, k: int) -> DataFrame:
             )
 
 
-def temporal_kcore_df(edges: DataFrame, k: int, ts: int, te: int) -> DataFrame:
-    """Distributed TCD operation: ``T^k_[ts,te]`` as an edge DataFrame
-    (truncation via :func:`projected`, then :func:`peel`)."""
+def temporal_kcore_df(
+    edges: DataFrame, k: int, ts: int, te: int
+) -> tuple[DataFrame, int]:
+    """Distributed TCD operation: ``T^k_[ts,te]`` as an edge DataFrame and
+    its peel rounds (truncation via :func:`projected`, then :func:`peel`)."""
     return peel(projected(edges, ts, te), k)

@@ -33,12 +33,19 @@ def detemporalized(edges: DataFrame) -> DataFrame:
 
 
 def degrees(edges: DataFrame) -> DataFrame:
-    """Distinct-neighbour degree per vertex: ``(vtx long, deg long)``."""
-    pairs = detemporalized(edges)
-    both = pairs.select(
-        F.col("a").alias("vtx"), F.col("b").alias("nbr")
-    ).unionAll(pairs.select(F.col("b").alias("vtx"), F.col("a").alias("nbr")))
-    return both.groupBy("vtx").agg(F.count("*").alias("deg"))
+    """Distinct-neighbour degree per vertex: ``(vtx long, deg long)``.
+    Both directions of every edge are hashed by ``vtx`` once, so the
+    distinct and the count that follow need no shuffle of their own."""
+    both = edges.select(F.col("u").alias("vtx"), F.col("v").alias("nbr")).unionAll(
+        edges.select(F.col("v").alias("vtx"), F.col("u").alias("nbr"))
+    )
+    return (
+        both.where(F.col("vtx") != F.col("nbr"))
+        .repartition("vtx")
+        .distinct()
+        .groupBy("vtx")
+        .agg(F.count("*").alias("deg"))
+    )
 
 
 def graph_stats(edges: DataFrame) -> dict:

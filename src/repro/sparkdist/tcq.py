@@ -44,17 +44,19 @@ def distributed_tcq_pdf(
     TTI. ``first_ts`` is the first anchor row that induces the core, as in
     the driver OTCD; ``first_te`` is the column at which its block first
     found the core in that row, which can be larger than the driver's when
-    PoL marks from earlier blocks made the driver skip columns.
+    PoL marks from earlier blocks made the driver skip columns. The
+    frame's ``attrs["peel_rounds"]`` counts the degree rounds of the peel.
     """
     check_query(k, Ts, Te)
     # Each anchor task builds a TEL, which takes time-sorted input (the
     # input model); row order after the peel is not guaranteed.
     with job_description(spark.sparkContext, "collect T^k"):
-        core0 = temporal_kcore_df(edges, k, Ts, Te).toPandas().sort_values(
-            "t", kind="stable"
-        )
+        kcore, rounds = temporal_kcore_df(edges, k, Ts, Te)
+        core0 = kcore.toPandas().sort_values("t", kind="stable")
     if core0.empty:
-        return pd.DataFrame(columns=COLUMNS, dtype="int64")
+        out = pd.DataFrame(columns=COLUMNS, dtype="int64")
+        out.attrs["peel_rounds"] = rounds
+        return out
     bc = spark.sparkContext.broadcast(tuple(core0[c].to_numpy() for c in "uvt"))
 
     def anchor_block(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -84,8 +86,10 @@ def distributed_tcq_pdf(
     # Within one TTI the first inducing cell is in the smallest row. No two
     # rows tie on (TTI, first_ts): each block returns one row per TTI, and
     # blocks own disjoint anchor rows.
-    return (
+    out = (
         rows.sort_values(["tti_s", "tti_e", "first_ts"])
         .drop_duplicates(["tti_s", "tti_e"])
         .reset_index(drop=True)
     )
+    out.attrs["peel_rounds"] = rounds
+    return out

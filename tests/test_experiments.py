@@ -1,4 +1,6 @@
 """Experiment harnesses (queries + tableN functions) at tiny scale."""
+import json
+
 import pandas as pd
 import pytest
 
@@ -152,8 +154,34 @@ class TestJobs:
 
         assert len(fig7_response_time.main(sf=SF)) == 20
 
-    def test_distributed_tcq_job(self, spark):
+    def test_distributed_tcq_job(self, spark, capsys):
         import distributed_tcq
 
         df = distributed_tcq.main(spark, sf=SF)
         assert df["TTIs match"].all()
+        line = self.summary(capsys, "distributed_tcq")
+        assert line["counts"]["peel_rounds"] == df["peel rounds"].sum() >= len(df)
+
+    @staticmethod
+    def summary(capsys, job):
+        """The job's one summary line: the last line it printed, JSON."""
+        out = capsys.readouterr().out.splitlines()
+        line = json.loads(out[-1])
+        assert sum(o.startswith('{"job"') for o in out) == 1
+        assert line["job"] == job and line["sf"] == SF and line["wall_s"] > 0
+        assert len(line["git_sha"]) == 40 or line["git_sha"] == "unknown"
+        return line
+
+    def test_driver_jobs_print_one_summary_line(self, capsys):
+        import table3_queries
+        import table6_bursty_cores
+
+        df = table3_queries.main(sf=SF)
+        line = self.summary(capsys, "table3_queries")
+        assert line["counts"] == {"queries": 20, "cores": df["result #"].sum()}
+        df = table6_bursty_cores.main(sf=SF)
+        line = self.summary(capsys, "table6_bursty_cores")
+        assert line["counts"] == {
+            "rows": len(df), "cores": df.attrs["total_cores"],
+            "one_day_cores": df.attrs["one_day_cores"],
+        }

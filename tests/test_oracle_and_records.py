@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.core.records import CoreRecord, QueryResult, QueryStats
+from repro.core.records import CoreRecord, QueryResult, QueryStats, edge_signature
 
 from .oracle import assert_equivalent
 
@@ -42,14 +42,14 @@ class TestRecords:
     def rec(self, **kw):
         base = dict(
             ts=1, te=9, tti=(3, 7), n_vertices=4, n_edges=6,
-            signature=frozenset({1, 2, 3}),
+            signature=edge_signature({1, 2, 3}),
         )
         base.update(kw)
         return CoreRecord(**base)
 
     def test_key_identity(self):
         assert self.rec().key() == self.rec().key()
-        assert self.rec().key() != self.rec(signature=frozenset({9})).key()
+        assert self.rec().key() != self.rec(signature=edge_signature({9})).key()
 
     def test_query_result_sets(self):
         res = QueryResult(cores=[self.rec(), self.rec(tti=(2, 5))])

@@ -11,7 +11,7 @@ from repro.core.tcd import tcd_operation
 from repro.core.tel import TEL
 
 from . import reference as ref
-from .util import core_edges, tel_edges, tel_of, tel_times
+from .util import core_edges, sig_ids, tel_edges, tel_of, tel_times
 
 loopy_edge_st = st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 6))
 edge_st = loopy_edge_st.filter(lambda e: e[0] != e[1])
@@ -111,7 +111,7 @@ def check_views(tel, model, edges):
     ids are positions in ``edges``), and its views bounded by the live
     time range equal full scans."""
     full = frozenset(compress(tel.ix.ids, tel.alive))
-    assert tel.signature() == full
+    assert sig_ids(tel.signature()) == full
     assert tel_edges(edges, tel) == sorted(model)
     assert tel.n_edges == len(model)
     nbrs = {}

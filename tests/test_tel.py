@@ -4,7 +4,9 @@ import pytest
 from repro.core.tcd import tcd_operation, window_tel
 from repro.core.tel import TEL
 
-from .util import append_edges, random_temporal_graph, tel_edges, tel_of, tel_times
+from .util import (
+    append_edges, random_temporal_graph, sig_ids, tel_edges, tel_of, tel_times,
+)
 
 # (u, v, t): a triangle at t=1..2 plus a pendant at t=3.
 SIMPLE = [(1, 2, 1), (2, 3, 1), (1, 3, 2), (3, 4, 3)]
@@ -46,7 +48,7 @@ class TestConstruction:
     def test_n_edges_matches_alive(self, seed):
         edges = random_temporal_graph(seed)
         tel = tel_of(edges)
-        assert tel.n_edges == len(tel.signature())
+        assert tel.n_edges == len(sig_ids(tel.signature()))
         assert tel.n_edges == len(tel_edges(edges, tel))
 
 
@@ -72,7 +74,7 @@ class TestDelEdge:
 
     def test_delete_all(self):
         tel = simple_tel()
-        for e in tel.signature():
+        for e in sig_ids(tel.signature()):
             tel.del_edge(e)
         assert tel.n_edges == 0 and tel.n_vertices == 0
         assert tel.get_tti() is None
@@ -85,12 +87,12 @@ class TestDelEdge:
 
         edges = random_temporal_graph(seed, n_edges=30)
         tel = tel_of(edges)
-        order = sorted(tel.signature())
+        order = sorted(sig_ids(tel.signature()))
         random.Random(seed).shuffle(order)
         for e in order:
             tel.del_edge(e)
             # Invariants after every deletion:
-            alive = tel.signature()
+            alive = sig_ids(tel.signature())
             assert tel.n_edges == len(alive)
             if alive:
                 tmin = min(edges[x][2] for x in alive)
@@ -115,10 +117,11 @@ class TestDeadWindowEnds:
         tcd_operation(tel, 2, 1, 4)
         assert tel.get_tti() == (2, 3)
         assert tel_times(self.EDGES, tel) == [2, 3]
-        assert tel.signature() == {2, 3, 4}
+        assert sig_ids(tel.signature()) == {2, 3, 4}
         tcd_operation(tel, 0, 4, 4)
         assert tel.n_edges == 0 and tel.get_tti() is None
-        assert tel_times(self.EDGES, tel) == [] and tel.signature() == frozenset()
+        assert tel_times(self.EDGES, tel) == []
+        assert sig_ids(tel.signature()) == frozenset()
         assert tel.vertices() == set()
 
     def test_copy_with_loose_bounds_truncates_to_empty(self):
@@ -129,7 +132,8 @@ class TestDeadWindowEnds:
         cp = tel.copy()
         tcd_operation(cp, 0, 1, 1)
         assert cp.n_edges == 0 and cp.get_tti() is None
-        assert tel_times(self.EDGES, cp) == [] and cp.signature() == frozenset()
+        assert tel_times(self.EDGES, cp) == []
+        assert sig_ids(cp.signature()) == frozenset()
         assert tel.get_tti() == (2, 3)
 
 
@@ -146,7 +150,7 @@ class TestAddEdge:
         assert tel.n_edges == 5
         assert tel.get_tti() == (1, 5)
         assert tel_times(SIMPLE + [(4, 1, 5)], tel) == [1, 2, 3, 5]
-        assert tel.signature() == set(range(5))
+        assert sig_ids(tel.signature()) == set(range(5))
 
     def test_append_same_timestamp(self):
         tel = self.appended((4, 1, 3))
@@ -209,7 +213,7 @@ class TestCopy:
         tel = simple_tel()
         tel.del_edge(0)
         cp = tel.copy()
-        assert cp.signature() == tel.signature() == frozenset({1, 2, 3})
+        assert sig_ids(cp.signature()) == sig_ids(tel.signature()) == frozenset({1, 2, 3})
 
     @pytest.mark.parametrize("seed", range(5))
     def test_copy_equivalence_random(self, seed):
@@ -230,4 +234,4 @@ class TestWindowTel:
     def test_window_keeps_global_ids(self):
         edges = [(1, 2, 1), (2, 3, 5), (1, 3, 9)]
         tel = tel_of(edges, 2, 8)
-        assert tel.signature() == {1}
+        assert sig_ids(tel.signature()) == {1}

@@ -10,9 +10,10 @@ import random
 from operator import itemgetter
 from typing import Sequence
 
+import numpy as np
 import pandas as pd
 
-from repro.core.records import CoreRecord
+from repro.core.records import CoreRecord, Signature
 from repro.core.tcd import window_tel
 from repro.core.tel import TEL
 
@@ -92,16 +93,24 @@ def append_edges(
     return us, vs, ts
 
 
+def sig_ids(sig: Signature) -> frozenset[int]:
+    """The edge ids a signature encodes (:mod:`repro.core.records`): ids
+    are global, positions in the edge arrays."""
+    first, bits = sig
+    on = np.unpackbits(np.frombuffer(bits, np.uint8), bitorder="little")
+    return frozenset((first + np.flatnonzero(on)).tolist())
+
+
 def core_edges(edges: Sequence[Edge], rec: CoreRecord) -> tuple[Edge, ...]:
     """A result core's edges as sorted ``(u, v, t)`` triples: signatures
-    are global edge ids, and an id is a position in ``edges``."""
-    return tuple(sorted(edges[e] for e in rec.signature))
+    hold global edge ids, and an id is a position in ``edges``."""
+    return tuple(sorted(edges[e] for e in sig_ids(rec.signature)))
 
 
 def tel_edges(edges: Sequence[Edge], tel: TEL) -> list[Edge]:
     """A TEL's alive edges as sorted ``(u, v, t)`` triples, read through
     its signature: ids are positions in ``edges``."""
-    return sorted(edges[e] for e in tel.signature())
+    return sorted(edges[e] for e in sig_ids(tel.signature()))
 
 
 def tel_times(edges: Sequence[Edge], tel: TEL) -> list[int]:
