@@ -48,9 +48,9 @@ def git_sha() -> str:
     return out or "unknown"
 
 
-def print_summary(job_file: str, sf: float, started: float, **counts: int) -> dict:
-    """Print and return the job's one summary line, a JSON object: the job
-    (its file name), ``sf``, the wall seconds since ``started`` (a
+def print_summary(job_file: str, sf: float, started: float, **counts: int) -> None:
+    """Print the job's one summary line, a JSON object: the job (its file
+    name), ``sf``, the wall seconds since ``started`` (a
     ``time.perf_counter()`` reading), its result ``counts`` and the git SHA."""
     line = {
         "job": Path(job_file).stem,
@@ -60,4 +60,3 @@ def print_summary(job_file: str, sf: float, started: float, **counts: int) -> di
         "git_sha": git_sha(),
     }
     print(json.dumps(line))
-    return line
