@@ -10,8 +10,7 @@ time-sorted (the input model below), all three are flat arrays here.
 window with NumPy; ``copy()`` shares it. Local *positions* ``0..n-1``
 number the window's edges in id order. Per edge (4-byte ints): its
 vertex-pair id ``pair`` (-1 for a self-loop) and two CSR incidence
-entries ``inc`` (the SL/DL, each vertex's positions ascending), 12 B in
-all; the global id of a position is
+entries ``inc`` (the SL/DL), 12 B in all; the global id of a position is
 ``ids[pos]``, a ``range`` (0 B). Per distinct timestamp: its value
 ``tvals`` (8 B) and the first position ``tstart`` (4 B), so the
 timestamp of a position is one ``bisect`` away; per pair its dense
@@ -27,11 +26,10 @@ moves them past the positions it drops, and ``get_tti`` tightens them to
 the first and last alive positions with ``alive.find``/``rfind`` (a C
 scan, O(1) amortised) and maps those two to their timestamps. Peeling uses
 a *below-k worklist*: every vertex whose degree drops below the TEL's
-threshold ``k`` is pushed once, and a peeled vertex visits only its
-positions inside ``[head, tail]`` (two bisections of its incidence).
-``signature()`` and ``drop_weak_pairs`` read only the positions
-``[head, tail]``, so a core collected from a large window costs its TTI's
-positions, not the window's.
+threshold ``k`` is pushed once, and a peeled vertex skips its positions
+outside ``[head, tail]``. ``signature()`` and ``drop_weak_pairs`` read
+only the positions ``[head, tail]``, so a core collected from a large
+window costs its TTI's positions, not the window's.
 
 **Pair mode.** A TEL cut edge by edge (the *edge path*) keeps ``alive``
 exact everywhere and ``mult`` as counts. The schedule sweep cuts its
@@ -162,8 +160,8 @@ class TEL:
         del t, first, tstart
 
         # Dense vertex ids in label order over the non-loop edges. The same
-        # stable sort of the interleaved endpoints gives the SL/DL: a CSR
-        # incidence listing each vertex's edges in position order.
+        # stable sort of the endpoints gives the SL/DL: a CSR incidence
+        # listing each vertex's edges.
         u = _column(edge_u, eids, "vertex ids")
         v = _column(edge_v, eids, "vertex ids")
         keep = u != v
@@ -171,8 +169,7 @@ class TEL:
         if loops:
             u, v = u[keep], v[keep]
         m = len(u)
-        both = np.empty(2 * m, np.int64)
-        both[0::2], both[1::2] = u, v
+        both = np.concatenate((u, v))
         del u, v
         order = np.argsort(both, kind="stable")
         both = both[order]
@@ -185,14 +182,14 @@ class TEL:
         ends = np.empty(2 * m, np.int32)
         ends[order] = np.cumsum(first, dtype=np.int32) - 1
         del first, starts
-        np.floor_divide(order, 2, out=order)
+        np.remainder(order, max(m, 1), out=order)
         if loops:
             order = np.flatnonzero(keep)[order]
         ix.inc = _mv(order)
         del order
 
         # Vertex pairs: dense ids of the distinct endpoint pairs.
-        du, dv = ends[0::2], ends[1::2]
+        du, dv = ends[:m], ends[m:]
         key = np.minimum(du, dv).astype(np.int64)
         key *= nv
         key += np.maximum(du, dv)
@@ -251,9 +248,8 @@ class TEL:
         its suffix without (a row, whose ``ts`` stays put). A pair then dies
         exactly when the cut reaches its flagged position, so a cut kills the
         flagged pairs in its range and visits no other edge; ``alive`` goes
-        stale outside ``[head, tail]``. A cut from the other side raises
-        ``ValueError``; ``del_edge`` and ``drop_weak_pairs`` need the edge
-        path and must not be called."""
+        stale outside ``[head, tail]``. A cut from the other side,
+        ``del_edge`` and ``drop_weak_pairs`` raise ``ValueError``."""
         h, end = self.head, self.tail + 1
         ends = bytearray(len(self.alive))
         if h < end:
@@ -309,7 +305,10 @@ class TEL:
 
     def _drop(self, positions: Iterable[int]) -> None:
         """Delete the alive edges among ``positions`` one by one (the edge
-        path): a pair dies with its last alive edge."""
+        path): a pair dies with its last alive edge. A flagged TEL's ``mult``
+        counts no edges, so this raises ``ValueError`` on one."""
+        if self.ends is not None:
+            raise ValueError("a flagged TEL deletes whole pairs, not single edges")
         alive, mult, pair = self.alive, self.mult, self.ix.pair
         n = 0
         last = []
@@ -336,19 +335,14 @@ class TEL:
         if left is not self.ends_last:
             raise ValueError("a flagged TEL is cut from its flagged side only")
         self.n_edges -= self.alive.count(1, a, b)
-        pair = self.ix.pair
-        if b - a < 64:  # below this NumPy's fixed cost outweighs the scan
-            self._kill(map(pair.__getitem__, compress(range(a, b), ends[a:b])))
-        else:
-            flagged = np.frombuffer(ends, np.bool_, b - a, a).nonzero()[0]
-            flagged += a
-            self._kill(pair.obj[flagged].tolist())
+        flagged = np.frombuffer(ends, np.bool_, b - a, a).nonzero()[0]
+        flagged += a
+        self._kill(self.ix.pair.obj[flagged].tolist())
 
     def del_edge(self, e: int) -> None:
         """Delete the edge with global id ``e`` (no-op if not alive)."""
         ids = self.ix.ids
-        if e in ids:
-            self._drop((e - ids.start,))
+        self._drop((e - ids.start,) if e in ids else ())
 
     def truncate(self, ts: int, te: int) -> None:
         """Delete the edges outside ``[ts, te]``: the positions from ``head``
@@ -381,9 +375,8 @@ class TEL:
         repeatedly (the k-core). The worklist holds every vertex whose
         degree fell below the threshold ``self.k``; a higher ``k`` rescans
         the degrees, and ``k <= 1`` has nothing to peel and keeps the
-        worklist for the next call. A vertex's incident positions are
-        sorted, so two bisections find those inside ``[head, tail]``; each
-        pair dies at the first alive edge met."""
+        worklist for the next call. A peeled vertex clears its alive
+        positions inside ``[head, tail]``; each pair dies at the first."""
         if k <= 1:
             return
         deg = self.deg
@@ -394,20 +387,14 @@ class TEL:
         inc, ptr, pair = ix.inc, ix.inc_ptr, ix.pair
         alive, h, t = self.alive, self.head, self.tail
         wl = self.worklist
-        while wl:  # one round per batch of pushed vertices
-            batch = wl[:]
-            wl.clear()
-            dead = []
-            for v in batch:
-                if 0 < deg[v] < k:
-                    e = ptr[v + 1]
-                    a = bisect_left(inc, h, ptr[v], e)
-                    for i in inc[a:bisect_right(inc, t, a, e)]:
-                        if alive[i]:
-                            alive[i] = 0
-                            dead.append(i)
-            self.n_edges -= len(dead)
-            self._kill(map(pair.__getitem__, dead))
+        while wl:
+            v = wl.pop()
+            if 0 < deg[v] < k:
+                dead = [i for i in inc[ptr[v]:ptr[v + 1]] if h <= i <= t and alive[i]]
+                for i in dead:
+                    alive[i] = 0
+                self.n_edges -= len(dead)
+                self._kill(map(pair.__getitem__, dead))
 
     # -- derived views -----------------------------------------------------
 

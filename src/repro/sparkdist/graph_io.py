@@ -2,9 +2,11 @@
 
 A temporal graph is a DataFrame with schema ``(u long, v long, t long)``
 — one row per temporal edge of the undirected multigraph. These
-functions are the DataFrame counterparts of the paper's §2.1 concepts
-and are the building blocks of the distributed decomposition; each is
-verified against DuckDB SQL by the oracle tests.
+functions are the DataFrame counterparts of the paper's §2.1 concepts;
+each is verified against DuckDB SQL by the oracle tests. ``projected``
+and ``degrees`` are the building blocks of the distributed
+decomposition. ``detemporalized`` has no caller in the package since
+``degrees`` stopped going through it; only its oracle test reads it.
 """
 from __future__ import annotations
 

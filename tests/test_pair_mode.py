@@ -17,7 +17,7 @@ from repro.core.tcd import tcd_operation, window_tel
 from repro.core.tel import TEL
 
 from . import reference as ref
-from .util import random_temporal_graph, sig_ids, tel_edges
+from .util import arrays_of, sig_ids, tel_edges
 
 # Pair (1, 4) has edges at ticks 1 and 3: inside [2, 4] its only edge sits
 # on tick 3, which the chain's cut at ts=4 and the rows' cut at te=2 reach.
@@ -38,10 +38,6 @@ LOOPS_AT_CUTS = [
     (1, 1, 3), (1, 4, 3), (1, 2, 3), (6, 6, 3),
 ]
 ADVERSARIAL = [ONLY_EDGE_ON_CUT, PARALLEL_AT_ENDS, LOOPS_AT_CUTS]
-
-
-def arrays_of(edges):
-    return tuple(list(x) for x in zip(*edges)) if edges else ([], [], [])
 
 
 def cells(graph, k, Ts, Te, **kw):
@@ -113,14 +109,6 @@ def test_blocks_match_full_sweep_and_reference(edges, k, Ts, min_strength):
     assert_sweeps_match_reference(edges, k, Ts, 6, min_strength)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_wide_cuts_take_the_numpy_branch(seed):
-    """Ticks of ~60 edges make single cuts span more than 64 positions."""
-    edges = random_temporal_graph(seed, n_vertices=14, n_edges=420, n_ticks=7)
-    for k in (3, 6):
-        assert_sweeps_match_reference(edges, k, 1, 7, 1)
-
-
 def check(tel, model, edges):
     """``tel`` holds exactly the graph ``model``; its signature is the
     encoder of the alive ids inside ``[head, tail]``, where ``alive`` is
@@ -186,17 +174,34 @@ def test_one_sided_cut_sequences(edges, k, ops):
             check(other, m, edges)
 
 
+def assert_single_edge_deletions_raise(tel):
+    """``mult`` of a flagged TEL is a pair-alive flag, not an edge count, so
+    deleting one of a pair's parallel edges would kill the whole pair."""
+    want = tel_edges(ONLY_EDGE_ON_CUT, tel)
+    with pytest.raises(ValueError, match="single edges"):
+        tel.del_edge(4)  # (1, 4, 3), parallel to (1, 4, 1)
+    with pytest.raises(ValueError, match="single edges"):
+        tel.del_edge(len(ONLY_EDGE_ON_CUT))  # not in the TEL
+    with pytest.raises(ValueError, match="single edges"):
+        tel.drop_weak_pairs(2)
+    assert tel_edges(ONLY_EDGE_ON_CUT, tel) == want
+    assert tel.n_edges == len(want)
+
+
 def test_cut_from_the_other_side_raises():
     tel = TEL(*arrays_of(ONLY_EDGE_ON_CUT))
     tel.flag_pairs(last=True)
+    assert_single_edge_deletions_raise(tel)
     with pytest.raises(ValueError, match="flagged side"):
         tcd_operation(tel, 0, 1, 3)
     tcd_operation(tel, 0, 2, 4)  # the flagged side still cuts
     row = tel.copy()
     row.flag_pairs(last=False)
+    assert_single_edge_deletions_raise(row)
     with pytest.raises(ValueError, match="flagged side"):
         tcd_operation(row, 0, 3, 4)
     tcd_operation(row, 2, 2, 3)
     assert tel_edges(ONLY_EDGE_ON_CUT, row) == ref.temporal_kcore(
         ONLY_EDGE_ON_CUT, 2, 2, 3
     )
+

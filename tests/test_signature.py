@@ -11,15 +11,11 @@ from repro.core.records import edge_signature
 from repro.core.tcd import tcd_operation, window_tel
 from repro.core.tel import TEL
 
-from .util import SELF_LOOP_GRAPHS, sig_ids
+from .util import SELF_LOOP_GRAPHS, arrays_of, sig_ids
 
 loopy_edges_st = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 8)), max_size=60
 ).map(lambda es: sorted(es, key=itemgetter(2)))
-
-
-def arrays_of(edges):
-    return tuple(list(x) for x in zip(*edges)) if edges else ([], [], [])
 
 
 def alive_ids(tel):

@@ -17,7 +17,9 @@ from repro.phc.baseline import iphc_query
 from repro.phc.index import build_phc_index
 
 from . import reference as ref
-from .util import SELF_LOOP_GRAPHS, append_edges, core_edges, sig_ids, tel_of
+from .util import (
+    SELF_LOOP_GRAPHS, append_edges, arrays_of, core_edges, sig_ids, tel_of,
+)
 
 sorted_edges_st = st.lists(
     st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 9)).filter(
@@ -25,10 +27,6 @@ sorted_edges_st = st.lists(
     ),
     max_size=40,
 ).map(lambda es: sorted(es, key=itemgetter(2)))
-
-
-def arrays_of(edges):
-    return tuple(list(x) for x in zip(*edges)) if edges else ([], [], [])
 
 
 @settings(max_examples=80, deadline=None)

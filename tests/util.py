@@ -93,6 +93,11 @@ def append_edges(
     return us, vs, ts
 
 
+def arrays_of(edges: Sequence[Edge]) -> tuple[list[int], list[int], list[int]]:
+    """Edge arrays ``(us, vs, ts)`` of ``edges`` (three empty lists for none)."""
+    return tuple(list(x) for x in zip(*edges)) if edges else ([], [], [])
+
+
 def sig_ids(sig: Signature) -> frozenset[int]:
     """The edge ids a signature encodes (:mod:`repro.core.records`): ids
     are global, positions in the edge arrays."""
