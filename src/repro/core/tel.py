@@ -350,11 +350,15 @@ class TEL:
         position after ``te`` down to ``tail``."""
         tvals, tstart = self.ix.tvals, self.ix.tstart
         h, t = self.head, self.tail
-        b = min(tstart[bisect_left(tvals, ts)], t + 1)
+        b = tstart[bisect_left(tvals, ts)]
+        if b > t:  # min and max calls cost more than the common no-op
+            b = t + 1
         if b > h:
             self._cut(h, b, True)
             self.head = h = b
-        a = max(tstart[bisect_right(tvals, te)], h)
+        a = tstart[bisect_right(tvals, te)]
+        if a < h:
+            a = h
         if a <= t:
             self._cut(a, t + 1, False)
             self.tail = a - 1
@@ -383,10 +387,12 @@ class TEL:
         if k > self.k:
             self.worklist = [v for v, d in enumerate(deg) if 0 < d < k]
         self.k = k
+        wl = self.worklist
+        if not wl:
+            return
         ix = self.ix
         inc, ptr, pair = ix.inc, ix.inc_ptr, ix.pair
         alive, h, t = self.alive, self.head, self.tail
-        wl = self.worklist
         while wl:
             v = wl.pop()
             if 0 < deg[v] < k:
