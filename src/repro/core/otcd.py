@@ -119,10 +119,6 @@ def sweep(
         stats = QueryStats()
     pruned: dict[int, IntervalSet] = defaultdict(IntervalSet)
     chain = graph.copy()  # will hold T^k_[ts, Te] as ts advances
-    # After its first step the chain loses only prefixes and a row only
-    # suffixes, so both kill pairs, not edges (TEL.flag_pairs); the
-    # link-strength extension counts edges per pair and keeps the edge path.
-    by_pair = min_strength == 1
     for ts in range(lo, hi + 1):
         prow = pruned[ts]
         te = prow.next_uncovered_leq(Te, ts) if prune else Te
@@ -135,14 +131,7 @@ def sweep(
             break  # T^k_[ts,Te] empty ⇒ all remaining rows empty too
         stats.rows_started += 1
         # The last row may consume the chain; the others sweep a copy.
-        if ts == hi:
-            row = chain
-        else:
-            if by_pair and chain.ends is None:
-                chain.flag_pairs(last=True)
-            row = chain.copy()
-        if by_pair:
-            row.flag_pairs(last=False)
+        row = chain if ts == hi else chain.copy()
         # te only falls along a row, so rows ts+1..pou_hw already hold a
         # wider PoU mark [r, te_1] of an earlier trigger in this row.
         pou_hw = ts

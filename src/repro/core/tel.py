@@ -18,31 +18,30 @@ endpoints ``pu/pv``; per vertex its label ``labels`` (8 B) and
 ``inc_ptr``.
 
 **Per-copy state.** A TEL holds only flat counters of its own, so
-``copy()`` is a few memcpys: ``alive`` (1 B per edge), parallel edges per
-alive pair ``mult`` and distinct alive neighbours per vertex ``deg`` (4 B
-each), the counts ``n_edges``/``n_vertices`` and ``head``/``tail``,
+``copy()`` is a few memcpys: ``alive`` (1 B per edge), a pair-alive flag
+``mult`` (1 B per pair), distinct alive neighbours per vertex ``deg``
+(4 B), the counts ``n_edges``/``n_vertices`` and ``head``/``tail``,
 position bounds of the alive edges that only move inwards: ``truncate``
 moves them past the positions it drops, and ``get_tti`` tightens them to
 the first and last alive positions with ``alive.find``/``rfind`` (a C
-scan, O(1) amortised) and maps those two to their timestamps. Peeling uses
-a *below-k worklist*: every vertex whose degree drops below the TEL's
-threshold ``k`` is pushed once, and a peeled vertex skips its positions
-outside ``[head, tail]``. ``signature()`` and ``drop_weak_pairs`` read
-only the positions ``[head, tail]``, so a core collected from a large
-window costs its TTI's positions, not the window's.
+scan, O(1) amortised) and maps those two to their timestamps. ``alive``
+is exact inside ``[head, tail]`` only: there a position is alive exactly
+when its pair is, and everything reads only those positions, so a core
+collected from a large window costs its TTI's positions, not the window's.
 
-**Pair mode.** A TEL cut edge by edge (the *edge path*) keeps ``alive``
-exact everywhere and ``mult`` as counts. The schedule sweep cuts its
-copies from one side only, and peeling deletes whole pairs, so a pair
-dies exactly when a cut reaches its last alive edge (the chain, which
-loses prefixes) or its first (a row, which loses suffixes).
-``flag_pairs`` marks those positions in a per-copy bytearray ``ends``
-(1 B per edge, shared by later ``copy()`` calls and never mutated) and
-turns ``mult`` into a 0/1 pair-alive flag. A cut then subtracts the alive
-bytes of its range from ``n_edges``, moves ``head`` or ``tail`` and kills
-the flagged pairs in the range; the other edges of a killed pair lie past
-the new bound and keep stale ``alive`` bytes, which nothing reads.
-Inside ``[head, tail]`` a position is alive exactly when its pair is.
+**Pair cuts.** Peeling and cuts delete whole pairs, so a cut from the left
+kills exactly the pairs whose last alive position it reaches, and a cut
+from the right those whose first it reaches; their other edges lie past
+the new bound and keep stale ``alive`` bytes. A cut flags those positions
+of its side in ``ends`` (1 B per edge) when the flags are missing or of
+the other side, subtracts the alive bytes of its range from ``n_edges``
+and kills the flagged pairs in the range. Flags are never mutated, so
+``copy()`` shares them: the sweep's row-start chain loses only prefixes
+and each row only suffixes, so both reuse theirs. Killing whole pairs
+keeps them valid; ``del_edge`` clears them. Peeling uses a *below-k
+worklist*: every vertex whose degree drops below the TEL's threshold ``k``
+is pushed once, and a peeled vertex skips its positions outside
+``[head, tail]``.
 
 **Input model.** A temporal graph is three parallel edge arrays
 ``edge_u/edge_v/edge_t`` of integers sorted by ``t`` (non-decreasing,
@@ -210,7 +209,7 @@ class TEL:
             ix.pair = _mv(pid)
 
         self.alive = bytearray(keep) if loops else bytearray(b"\x01") * n
-        self.mult = _counts(np.bincount(pid, minlength=len(pkeys)))
+        self.mult = bytearray(b"\x01") * len(pkeys)
         self.deg = _counts(np.bincount(np.concatenate((pu, pv)), minlength=nv))
         self.head, self.tail = 0, n - 1
         self.n_edges = m
@@ -239,17 +238,11 @@ class TEL:
         cp.ends, cp.ends_last = self.ends, self.ends_last  # never mutated
         return cp
 
-    def flag_pairs(self, last: bool) -> None:
+    def _flag_pairs(self, last: bool) -> None:
         """Flag each alive pair's first alive position (its last with
-        ``last``) in ``ends`` and make ``mult`` a 0/1 pair-alive flag.
-
-        From then on the TEL is cut from one side only: its prefix with
-        ``last`` (the sweep's row-start chain, whose ``te`` stays ``Te``),
-        its suffix without (a row, whose ``ts`` stays put). A pair then dies
-        exactly when the cut reaches its flagged position, so a cut kills the
-        flagged pairs in its range and visits no other edge; ``alive`` goes
-        stale outside ``[head, tail]``. A cut from the other side,
-        ``del_edge`` and ``drop_weak_pairs`` raise ``ValueError``."""
+        ``last``) in a new ``ends``: the position whose cut from the right
+        (the left with ``last``) kills the pair, since peeling and cuts
+        delete whole pairs."""
         h, end = self.head, self.tail + 1
         ends = bytearray(len(self.alive))
         if h < end:
@@ -260,8 +253,6 @@ class TEL:
             at[pairs] = -1 if last else end
             (np.maximum if last else np.minimum).at(at, pairs, pos)
             np.frombuffer(ends, np.bool_)[at[pairs]] = True
-        mult = np.frombuffer(self.mult, np.int32)
-        np.minimum(mult, 1, out=mult)
         self.ends, self.ends_last = ends, last
 
     # -- manipulations (paper Table 1) -------------------------------------
@@ -303,46 +294,40 @@ class TEL:
                         gone += 1
         self.n_vertices -= gone
 
-    def _drop(self, positions: Iterable[int]) -> None:
-        """Delete the alive edges among ``positions`` one by one (the edge
-        path): a pair dies with its last alive edge. A flagged TEL's ``mult``
-        counts no edges, so this raises ``ValueError`` on one."""
-        if self.ends is not None:
-            raise ValueError("a flagged TEL deletes whole pairs, not single edges")
-        alive, mult, pair = self.alive, self.mult, self.ix.pair
-        n = 0
-        last = []
-        for i in positions:
-            if alive[i]:
-                alive[i] = 0
-                n += 1
-                p = pair[i]
-                if mult[p] == 1:  # its last alive edge
-                    last.append(p)
-                else:
-                    mult[p] -= 1
-        self.n_edges -= n
-        self._kill(last)
-
     def _cut(self, a: int, b: int, left: bool) -> None:
         """Delete the alive edges of positions ``[a, b)``, a prefix (``left``)
-        or a suffix of ``[head, tail]``: edge by edge, or by killing the pairs
-        flagged in the range (:meth:`flag_pairs`)."""
-        ends = self.ends
-        if ends is None:
-            self._drop(compress(range(a, b), self.alive[a:b]))
-            return
-        if left is not self.ends_last:
-            raise ValueError("a flagged TEL is cut from its flagged side only")
+        or a suffix of ``[head, tail]``, by killing the pairs flagged in the
+        range: a pair dies when a cut reaches its last (``left``) or first
+        alive position. The flags are set here when missing or flagging the
+        other side; copies share them."""
+        if self.ends is None or left is not self.ends_last:
+            self._flag_pairs(left)
         self.n_edges -= self.alive.count(1, a, b)
-        flagged = np.frombuffer(ends, np.bool_, b - a, a).nonzero()[0]
+        flagged = np.frombuffer(self.ends, np.bool_, b - a, a).nonzero()[0]
         flagged += a
         self._kill(self.ix.pair.obj[flagged].tolist())
 
     def del_edge(self, e: int) -> None:
-        """Delete the edge with global id ``e`` (no-op if not alive)."""
-        ids = self.ix.ids
-        self._drop((e - ids.start,) if e in ids else ())
+        """Delete the edge with global id ``e`` (no-op if not alive). Its pair
+        dies when one endpoint's incidence holds no other alive edge of it;
+        the flags are cleared, as ``e`` may have been its pair's flagged
+        position."""
+        ix, alive = self.ix, self.alive
+        h, t = self.head, self.tail
+        i = e - ix.ids.start
+        if not (e in ix.ids and h <= i <= t and alive[i]):
+            return
+        alive[i] = 0
+        self.n_edges -= 1
+        self.ends = None
+        pair = ix.pair
+        p = pair[i]
+        v = ix.pu[p]
+        if not any(
+            h <= j <= t and alive[j] and pair[j] == p
+            for j in ix.inc[ix.inc_ptr[v]:ix.inc_ptr[v + 1]]
+        ):
+            self._kill((p,))
 
     def truncate(self, ts: int, te: int) -> None:
         """Delete the edges outside ``[ts, te]``: the positions from ``head``
@@ -364,15 +349,18 @@ class TEL:
             self.tail = a - 1
 
     def drop_weak_pairs(self, min_strength: int) -> None:
-        """Delete every pair with fewer than ``min_strength`` alive edges.
-        Multiplicities only fall, so one pass over the alive edges finds
-        them all."""
-        mult, pair = self.mult, self.ix.pair
+        """Delete every pair with fewer than ``min_strength`` alive edges,
+        counted in one pass over ``[head, tail]``. Whole pairs die, so the
+        flags stay valid."""
         a, b = self.head, self.tail + 1
-        self._drop([
-            i for i in compress(range(a, b), self.alive[a:b])
-            if mult[pair[i]] < min_strength
-        ])
+        alive = np.frombuffer(self.alive, np.bool_, b - a, a)
+        pos = alive.nonzero()[0]
+        pairs = self.ix.pair.obj[pos + a]
+        count = np.bincount(pairs, minlength=len(self.mult))
+        weak = pos[count[pairs] < min_strength]
+        alive[weak] = False
+        self.n_edges -= len(weak)
+        self._kill(np.flatnonzero((count > 0) & (count < min_strength)).tolist())
 
     def peel(self, k: int) -> None:
         """Delete every vertex with fewer than ``k`` distinct neighbours,

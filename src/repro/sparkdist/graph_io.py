@@ -5,8 +5,7 @@ A temporal graph is a DataFrame with schema ``(u long, v long, t long)``
 functions are the DataFrame counterparts of the paper's §2.1 concepts;
 each is verified against DuckDB SQL by the oracle tests. ``projected``
 and ``degrees`` are the building blocks of the distributed
-decomposition. ``detemporalized`` has no caller in the package since
-``degrees`` stopped going through it; only its oracle test reads it.
+decomposition.
 """
 from __future__ import annotations
 
@@ -19,18 +18,6 @@ def projected(edges: DataFrame, ts: int, te: int) -> DataFrame:
     self-loops dropped (degree counts distinct *other* vertices)."""
     return edges.where(
         (F.col("t") >= ts) & (F.col("t") <= te) & (F.col("u") != F.col("v"))
-    )
-
-
-def detemporalized(edges: DataFrame) -> DataFrame:
-    """The detemporalised simple graph: distinct unordered vertex pairs
-    ``(a <= b)``, self-loops dropped (degree counts distinct neighbours)."""
-    return (
-        edges.select(
-            F.least("u", "v").alias("a"), F.greatest("u", "v").alias("b")
-        )
-        .where(F.col("a") != F.col("b"))
-        .distinct()
     )
 
 

@@ -1,10 +1,11 @@
-"""The sweep's pair mode (``TEL.flag_pairs``): after its first step the
-row-start chain is cut from the left only and each row from the right only,
-so a cut kills the vertex pairs flagged in its range instead of visiting
-their edges. Checked against the brute-force reference on adversarial
-graphs, on anchor blocks ``rows=(lo, hi)`` with ``hi < Te``, next to the
-link-strength extension (which keeps the edge path), and through arbitrary
-sequences of one-sided cuts, copies and side switches."""
+"""The TEL's pair cuts: peeling and cuts delete whole vertex pairs, so a cut
+from the left kills the pairs whose last alive position it reaches and one
+from the right those whose first it reaches, flagged once per side and
+shared by copies. The sweep's row-start chain is cut from the left only and
+each row from the right only, so both reuse their flags. Checked against
+the brute-force reference on adversarial graphs, on anchor blocks
+``rows=(lo, hi)`` with ``hi < Te``, with the link-strength extension, and
+through arbitrary sequences of cuts from either side and copies."""
 from operator import itemgetter
 
 import pytest
@@ -17,7 +18,7 @@ from repro.core.tcd import tcd_operation, window_tel
 from repro.core.tel import TEL
 
 from . import reference as ref
-from .util import arrays_of, sig_ids, tel_edges
+from .util import alive_ids, arrays_of, sig_ids, tel_edges
 
 # Pair (1, 4) has edges at ticks 1 and 3: inside [2, 4] its only edge sits
 # on tick 3, which the chain's cut at ts=4 and the rows' cut at te=2 reach.
@@ -111,8 +112,7 @@ def test_blocks_match_full_sweep_and_reference(edges, k, Ts, min_strength):
 
 def check(tel, model, edges):
     """``tel`` holds exactly the graph ``model``; its signature is the
-    encoder of the alive ids inside ``[head, tail]``, where ``alive`` is
-    exact in a flagged TEL."""
+    encoder of the alive ids inside ``[head, tail]``."""
     assert tel_edges(edges, tel) == sorted(model)
     assert tel.n_edges == len(model)
     nbrs = {}
@@ -123,9 +123,7 @@ def check(tel, model, edges):
     assert tel.n_vertices == len(nbrs)
     times = sorted(t for *_, t in model)
     assert tel.get_tti() == ((times[0], times[-1]) if model else None)
-    inside = range(tel.head, tel.tail + 1)
-    alive = {tel.ix.ids[i] for i in inside if tel.alive[i]}
-    assert tel.signature() == edge_signature(alive)
+    assert tel.signature() == edge_signature(alive_ids(tel))
 
 
 @settings(max_examples=150, deadline=None)
@@ -137,32 +135,31 @@ def check(tel, model, edges):
     k=st.integers(1, 3),
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["cut", "cut", "cut", "copy", "switch"]),
+            st.sampled_from(["cut", "cut", "cut", "copy"]),
             st.integers(0, 3),
             st.integers(0, 4),  # ticks cut
+            st.booleans(),  # from the left (else the right)
             st.booleans(),  # precede the cut by a k=0 call, as a tracer does
         ),
         min_size=1, max_size=12,
     ),
 )
 def test_one_sided_cut_sequences(edges, k, ops):
-    """From a first two-sided operation, any sequence of cuts from the
-    flagged side, copies (which share the flags) and switches to the other
-    side (a row copy of the chain) matches the reference."""
+    """From a first two-sided operation, any sequence of one-sided cuts
+    from either side and copies (which share the cut flags) matches the
+    reference: a cut flags its side when the flags are missing or of the
+    other side, and reuses them otherwise."""
     tel = TEL(*arrays_of(edges))
     lo, hi = 2, 7
     tcd_operation(tel, k, lo, hi)
-    tel.flag_pairs(last=True)
     handles = [[tel, ref.temporal_kcore(edges, k, lo, hi), lo, hi]]
-    for op, i, d, split in ops:
+    for op, i, d, left, split in ops:
         h = handles[i % len(handles)]
         tel, model, lo, hi = h
         if op == "copy":
             handles.append([tel.copy(), list(model), lo, hi])
-        elif op == "switch":
-            tel.flag_pairs(last=not tel.ends_last)
         else:
-            if tel.ends_last:
+            if left:
                 lo += d
             else:
                 hi -= d
@@ -172,36 +169,3 @@ def test_one_sided_cut_sequences(edges, k, ops):
             h[1:] = ref.temporal_kcore(model, k, lo, hi), lo, hi
         for other, m, *_ in handles:
             check(other, m, edges)
-
-
-def assert_single_edge_deletions_raise(tel):
-    """``mult`` of a flagged TEL is a pair-alive flag, not an edge count, so
-    deleting one of a pair's parallel edges would kill the whole pair."""
-    want = tel_edges(ONLY_EDGE_ON_CUT, tel)
-    with pytest.raises(ValueError, match="single edges"):
-        tel.del_edge(4)  # (1, 4, 3), parallel to (1, 4, 1)
-    with pytest.raises(ValueError, match="single edges"):
-        tel.del_edge(len(ONLY_EDGE_ON_CUT))  # not in the TEL
-    with pytest.raises(ValueError, match="single edges"):
-        tel.drop_weak_pairs(2)
-    assert tel_edges(ONLY_EDGE_ON_CUT, tel) == want
-    assert tel.n_edges == len(want)
-
-
-def test_cut_from_the_other_side_raises():
-    tel = TEL(*arrays_of(ONLY_EDGE_ON_CUT))
-    tel.flag_pairs(last=True)
-    assert_single_edge_deletions_raise(tel)
-    with pytest.raises(ValueError, match="flagged side"):
-        tcd_operation(tel, 0, 1, 3)
-    tcd_operation(tel, 0, 2, 4)  # the flagged side still cuts
-    row = tel.copy()
-    row.flag_pairs(last=False)
-    assert_single_edge_deletions_raise(row)
-    with pytest.raises(ValueError, match="flagged side"):
-        tcd_operation(row, 0, 3, 4)
-    tcd_operation(row, 2, 2, 3)
-    assert tel_edges(ONLY_EDGE_ON_CUT, row) == ref.temporal_kcore(
-        ONLY_EDGE_ON_CUT, 2, 2, 3
-    )
-

@@ -1,7 +1,6 @@
 """Edge-set signatures (``repro.core.records``): a TEL's packed-bit
 signature equals the shared encoder applied to its alive edge ids, and the
 encoding is canonical, so equal edge sets give equal signatures."""
-from itertools import compress
 from operator import itemgetter
 
 from hypothesis import given, settings
@@ -11,16 +10,11 @@ from repro.core.records import edge_signature
 from repro.core.tcd import tcd_operation, window_tel
 from repro.core.tel import TEL
 
-from .util import SELF_LOOP_GRAPHS, arrays_of, sig_ids
+from .util import SELF_LOOP_GRAPHS, alive_ids, arrays_of, sig_ids
 
 loopy_edges_st = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 8)), max_size=60
 ).map(lambda es: sorted(es, key=itemgetter(2)))
-
-
-def alive_ids(tel):
-    """Global ids of the alive edges, by a scan of every position."""
-    return set(compress(tel.ix.ids, tel.alive))
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,7 +4,6 @@ from pyspark.sql import functions as F
 
 from repro.sparkdist.graph_io import (
     degrees,
-    detemporalized,
     graph_stats,
     projected,
 )
@@ -43,16 +42,6 @@ def test_projected_drops_self_loops(spark):
 def test_projected_empty_window(graph):
     df, _ = graph
     assert projected(df, 100, 200).count() == 0
-
-
-def test_detemporalized(graph):
-    df, pdf = graph
-    assert_equivalent(
-        detemporalized(df),
-        """SELECT DISTINCT least(u, v) AS a, greatest(u, v) AS b
-           FROM edges WHERE u <> v""",
-        edges=pdf,
-    )
 
 
 def test_degrees(graph):

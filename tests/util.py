@@ -118,6 +118,13 @@ def tel_edges(edges: Sequence[Edge], tel: TEL) -> list[Edge]:
     return sorted(edges[e] for e in sig_ids(tel.signature()))
 
 
+def alive_ids(tel: TEL) -> set[int]:
+    """Global ids of a TEL's alive edges by a scan of its positions inside
+    ``[head, tail]``, the only ones where ``alive`` is exact."""
+    ids, alive = tel.ix.ids, tel.alive
+    return {ids[i] for i in range(tel.head, tel.tail + 1) if alive[i]}
+
+
 def tel_times(edges: Sequence[Edge], tel: TEL) -> list[int]:
     """The timestamps with an alive edge in ``tel``, ascending."""
     return sorted({t for *_, t in tel_edges(edges, tel)})
