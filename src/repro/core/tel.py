@@ -29,19 +29,19 @@ is exact inside ``[head, tail]`` only: there a position is alive exactly
 when its pair is, and everything reads only those positions, so a core
 collected from a large window costs its TTI's positions, not the window's.
 
-**Pair cuts.** Peeling and cuts delete whole pairs, so a cut from the left
-kills exactly the pairs whose last alive position it reaches, and a cut
-from the right those whose first it reaches; their other edges lie past
-the new bound and keep stale ``alive`` bytes. A cut flags those positions
-of its side in ``ends`` (1 B per edge) when the flags are missing or of
-the other side, subtracts the alive bytes of its range from ``n_edges``
-and kills the flagged pairs in the range. Flags are never mutated, so
-``copy()`` shares them: the sweep's row-start chain loses only prefixes
-and each row only suffixes, so both reuse theirs. Killing whole pairs
-keeps them valid; ``del_edge`` clears them. Peeling uses a *below-k
-worklist*: every vertex whose degree drops below the TEL's threshold ``k``
-is pushed once, and a peeled vertex skips its positions outside
-``[head, tail]``.
+**Pair cuts.** Every deletion (cuts, ``drop_weak_pairs``, peeling) kills
+whole pairs, so a cut from the left kills exactly the pairs whose last
+alive position it reaches, and a cut from the right those whose first it
+reaches; their other edges lie past the new bound and keep stale
+``alive`` bytes. A cut flags those positions of its side in ``ends`` (1 B
+per edge) when the flags are missing or of the other side, subtracts the
+alive bytes of its range from ``n_edges`` and kills the flagged pairs in
+the range. Flags are never mutated, so ``copy()`` shares them: the
+sweep's row-start chain loses only prefixes and each row only suffixes,
+so both reuse theirs, and whole-pair kills keep them valid. Peeling uses
+a *below-k worklist*: every vertex whose degree drops below the TEL's
+threshold ``k`` is pushed once, and a peeled vertex skips its positions
+outside ``[head, tail]``.
 
 **Input model.** A temporal graph is three parallel edge arrays
 ``edge_u/edge_v/edge_t`` of integers sorted by ``t`` (non-decreasing,
@@ -92,10 +92,6 @@ def _run_starts(s: np.ndarray) -> np.ndarray:
 def _mv(a: np.ndarray, dtype=np.int32) -> memoryview:
     """Read-only view whose items index as Python ints."""
     return memoryview(np.ascontiguousarray(a, dtype=dtype)).toreadonly()
-
-
-def _counts(a: np.ndarray) -> array:
-    return array("i", a.astype(np.int32).tobytes())
 
 
 class _Index:
@@ -210,7 +206,8 @@ class TEL:
 
         self.alive = bytearray(keep) if loops else bytearray(b"\x01") * n
         self.mult = bytearray(b"\x01") * len(pkeys)
-        self.deg = _counts(np.bincount(np.concatenate((pu, pv)), minlength=nv))
+        deg = np.bincount(np.concatenate((pu, pv)), minlength=nv)
+        self.deg = array("i", deg.astype(np.int32).tobytes())
         self.head, self.tail = 0, n - 1
         self.n_edges = m
         self.n_vertices = nv
@@ -306,28 +303,6 @@ class TEL:
         flagged = np.frombuffer(self.ends, np.bool_, b - a, a).nonzero()[0]
         flagged += a
         self._kill(self.ix.pair.obj[flagged].tolist())
-
-    def del_edge(self, e: int) -> None:
-        """Delete the edge with global id ``e`` (no-op if not alive). Its pair
-        dies when one endpoint's incidence holds no other alive edge of it;
-        the flags are cleared, as ``e`` may have been its pair's flagged
-        position."""
-        ix, alive = self.ix, self.alive
-        h, t = self.head, self.tail
-        i = e - ix.ids.start
-        if not (e in ix.ids and h <= i <= t and alive[i]):
-            return
-        alive[i] = 0
-        self.n_edges -= 1
-        self.ends = None
-        pair = ix.pair
-        p = pair[i]
-        v = ix.pu[p]
-        if not any(
-            h <= j <= t and alive[j] and pair[j] == p
-            for j in ix.inc[ix.inc_ptr[v]:ix.inc_ptr[v + 1]]
-        ):
-            self._kill((p,))
 
     def truncate(self, ts: int, te: int) -> None:
         """Delete the edges outside ``[ts, te]``: the positions from ``head``

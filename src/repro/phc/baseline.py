@@ -11,8 +11,8 @@ from ``ts`` to ``Te`` and the temporal k-core grows incrementally:
   (the push-back churn is the baseline's intrinsic inefficiency the
   paper contrasts with TCD's delete-once behaviour).
 
-A core ``(V, E)`` is collected when non-empty and not identical to a
-previously collected result (edge-set identity).
+A core ``(V, E)`` is collected when non-empty and its TTI is new: the TTI
+identifies a core (Property 2), as in OTCD.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from ..core.otcd import check_query
-from ..core.records import CoreRecord, QueryResult, QueryStats, Signature, edge_signature
+from ..core.records import CoreRecord, QueryResult, QueryStats, edge_signature
 from ..core.tcd import window_ids
 from .index import PHCIndex
 
@@ -51,7 +51,7 @@ def iphc_query(
     check_query(k, Ts, Te)
     span = Te - Ts + 1
     res = QueryResult(stats=QueryStats(cells_total=span * (span + 1) // 2))
-    seen: set[Signature] = set()
+    seen: set[tuple[int, int]] = set()
     ids = window_ids(edges, Ts, Te, key=itemgetter(2))
     if any(ts not in index for ts in range(Ts, Te + 1)):
         raise ValueError(f"the PHC-Index does not cover every anchor of [{Ts}, {Te}]")
@@ -91,18 +91,18 @@ def iphc_query(
                 heapq.heappush(he, item)
             if not changed or not V or not E:
                 continue
-            sig = edge_signature(E)
-            if sig in seen:
+            tti = (t_min, t_max)
+            if tti in seen:
                 continue
-            seen.add(sig)
+            seen.add(tti)
             res.cores.append(
                 CoreRecord(
                     ts=ts,
                     te=te,
-                    tti=(t_min, t_max),
+                    tti=tti,
                     n_vertices=len(V),
                     n_edges=len(E),
-                    signature=sig,
+                    signature=edge_signature(E),
                 )
             )
     res.stats.cores_collected = len(res.cores)

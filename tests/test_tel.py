@@ -52,56 +52,6 @@ class TestConstruction:
         assert tel.n_edges == len(tel_edges(edges, tel))
 
 
-class TestDelEdge:
-    def test_del_edge_updates_everything(self):
-        tel = simple_tel()
-        tel.del_edge(3)  # (3, 4, 3)
-        assert tel.n_edges == 3
-        assert 4 not in tel.vertices()
-        assert tel.get_tti() == (1, 2)  # TL(3) removed with its last edge
-        assert tel_times(SIMPLE, tel) == [1, 2]
-
-    def test_del_edge_degree_decrease(self):
-        tel = simple_tel()
-        assert tel.degrees()[3] == 3
-        tel.del_edge(3)
-        assert tel.degrees()[3] == 2
-
-    def test_parallel_edge_del_keeps_degree(self):
-        tel = tel_of([(1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 2, 2)])
-        tel.del_edge(3)  # one of the two parallel (1,2) edges
-        assert tel.degrees()[1] == 2 and tel.degrees()[2] == 2
-
-    def test_delete_all(self):
-        tel = simple_tel()
-        for e in sig_ids(tel.signature()):
-            tel.del_edge(e)
-        assert tel.n_edges == 0 and tel.n_vertices == 0
-        assert tel.get_tti() is None
-        assert tel.vertices() == set()
-        assert tel_times(SIMPLE, tel) == []
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_deletion_order_consistency(self, seed):
-        import random
-
-        edges = random_temporal_graph(seed, n_edges=30)
-        tel = tel_of(edges)
-        order = sorted(sig_ids(tel.signature()))
-        random.Random(seed).shuffle(order)
-        for e in order:
-            tel.del_edge(e)
-            # Invariants after every deletion:
-            alive = sig_ids(tel.signature())
-            assert tel.n_edges == len(alive)
-            if alive:
-                tmin = min(edges[x][2] for x in alive)
-                tmax = max(edges[x][2] for x in alive)
-                assert tel.get_tti() == (tmin, tmax)
-            else:
-                assert tel.get_tti() is None
-
-
 class TestDeadWindowEnds:
     """Self-loops hold the window's first and last positions and a peel
     kills its first and last alive edges, so the alive-position bounds
@@ -205,15 +155,18 @@ class TestCopy:
     def test_copy_is_independent(self):
         tel = simple_tel()
         cp = tel.copy()
-        cp.del_edge(0)
-        assert tel.n_edges == 4 and cp.n_edges == 3
+        tcd_operation(cp, 0, 2, 3)  # drops the two t=1 edges
+        assert tel.n_edges == 4 and cp.n_edges == 2
         assert tel.degrees()[1] == 2 and cp.degrees()[1] == 1
+        tcd_operation(tel, 0, 1, 2)  # drops (3, 4, 3) from the original only
+        assert tel_edges(SIMPLE, tel) == [(1, 2, 1), (1, 3, 2), (2, 3, 1)]
+        assert tel_edges(SIMPLE, cp) == [(1, 3, 2), (3, 4, 3)]
 
     def test_copy_preserves_ids(self):
         tel = simple_tel()
-        tel.del_edge(0)
+        tcd_operation(tel, 0, 2, 3)
         cp = tel.copy()
-        assert sig_ids(cp.signature()) == sig_ids(tel.signature()) == frozenset({1, 2, 3})
+        assert sig_ids(cp.signature()) == sig_ids(tel.signature()) == frozenset({2, 3})
 
     @pytest.mark.parametrize("seed", range(5))
     def test_copy_equivalence_random(self, seed):
