@@ -31,6 +31,9 @@ Suites:
   outside the timer; then 3 passes each time OTCD and TCD at every point.
   Each point also holds OTCD's and TCD's ``cells_evaluated``, equal in
   every pass.
+* ``table5-memory``: Table 5 at sf=1 (``repro.experiments.tables.table5``),
+  run once and untimed: per dataset the allocation peak of building its
+  TEL in MB and in bytes per edge, and the edge count.
 """
 from __future__ import annotations
 
@@ -200,7 +203,27 @@ def sweeps() -> dict:
     )
 
 
+def table5_memory() -> dict:
+    from repro.experiments.tables import table5
+
+    df = table5(sf=1.0)
+    return append_entry(
+        "table5-memory",
+        repeat=1,
+        sf=1.0,
+        datasets=[
+            {
+                "dataset": row["Dataset"],
+                "peak_mb": row["TEL peak (MB)"],
+                "bytes_per_edge": row["B/edge"],
+                "edges": int(row["|E|"]),
+            }
+            for _, row in df.iterrows()
+        ],
+    )
+
+
 if __name__ == "__main__":
-    for suite in (table6_scan, fig7_suite, sweeps):
+    for suite in (table6_scan, fig7_suite, sweeps, table5_memory):
         entry = suite()
         print(json.dumps({k: v for k, v in entry.items() if k != "queries"}))

@@ -9,9 +9,11 @@ time-sorted (the input model below), all three are flat arrays here.
 **Shared index.** ``TEL(...)`` builds one immutable :class:`_Index` per
 window with NumPy; ``copy()`` shares it. Local *positions* ``0..n-1``
 number the window's edges in id order. Per edge (4-byte ints): its
-vertex-pair id ``pair`` (-1 for a self-loop) and two CSR incidence
-entries ``inc`` (the SL/DL), 12 B in all; the global id of a position is
-``ids[pos]``, a ``range`` (0 B). Per distinct timestamp: its value
+vertex-pair id ``pair`` (-1 for a self-loop), the previous and the next
+position of the same pair ``prev``/``next`` (-1 and ``n`` past the pair's
+ends and for a self-loop) and two CSR incidence entries ``inc`` (the
+SL/DL), 20 B in all; the global id of a position is ``ids[pos]``, a
+``range`` (0 B). Per distinct timestamp: its value
 ``tvals`` (8 B) and the first position ``tstart`` (4 B), so the
 timestamp of a position is one ``bisect`` away; per pair its dense
 endpoints ``pu/pv``; per vertex its label ``labels`` (8 B) and
@@ -33,15 +35,15 @@ collected from a large window costs its TTI's positions, not the window's.
 whole pairs, so a cut from the left kills exactly the pairs whose last
 alive position it reaches, and a cut from the right those whose first it
 reaches; their other edges lie past the new bound and keep stale
-``alive`` bytes. A cut flags those positions of its side in ``ends`` (1 B
-per edge) when the flags are missing or of the other side, subtracts the
-alive bytes of its range from ``n_edges`` and kills the flagged pairs in
-the range. Flags are never mutated, so ``copy()`` shares them: the
-sweep's row-start chain loses only prefixes and each row only suffixes,
-so both reuse theirs, and whole-pair kills keep them valid. Peeling uses
-a *below-k worklist*: every vertex whose degree drops below the TEL's
-threshold ``k`` is pushed once, and a peeled vertex skips its positions
-outside ``[head, tail]``.
+``alive`` bytes. Inside ``[head, tail]`` a pair's last alive position is
+the one whose ``next`` lies past ``tail``, and its first the one whose
+``prev`` lies before ``head``, so a cut subtracts the alive bytes of its
+range from ``n_edges`` and kills the pairs of those positions in the
+range, with no state of its own: any sequence of cuts from either side
+on any copy reads the same two links. Peeling uses a *below-k
+worklist*: every vertex whose degree drops below the TEL's threshold
+``k`` is pushed once, and a peeled vertex skips its positions outside
+``[head, tail]``.
 
 **Input model.** A temporal graph is three parallel edge arrays
 ``edge_u/edge_v/edge_t`` of integers sorted by ``t`` (non-decreasing,
@@ -67,7 +69,6 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
-import pandas as pd
 
 from .records import Signature, edge_signature
 
@@ -100,7 +101,7 @@ class _Index:
     behind them."""
 
     __slots__ = (
-        "ids", "tvals", "tstart", "pair", "pu", "pv",
+        "ids", "tvals", "tstart", "pair", "prev", "next", "pu", "pv",
         "inc_ptr", "inc", "labels",
     )
 
@@ -118,7 +119,7 @@ class TEL:
 
     __slots__ = (
         "ix", "alive", "mult", "deg", "head", "tail",
-        "n_edges", "n_vertices", "k", "worklist", "ends", "ends_last",
+        "n_edges", "n_vertices", "k", "worklist",
     )
 
     def __init__(
@@ -174,8 +175,8 @@ class TEL:
         starts = np.flatnonzero(first)
         nv = len(starts)
         ix.inc_ptr = _mv(np.append(starts, 2 * m))
-        ends = np.empty(2 * m, np.int32)
-        ends[order] = np.cumsum(first, dtype=np.int32) - 1
+        dense = np.empty(2 * m, np.int32)
+        dense[order] = np.cumsum(first, dtype=np.int32) - 1
         del first, starts
         np.remainder(order, max(m, 1), out=order)
         if loops:
@@ -183,38 +184,43 @@ class TEL:
         ix.inc = _mv(order)
         del order
 
-        # Vertex pairs: dense ids of the distinct endpoint pairs.
-        du, dv = ends[:m], ends[m:]
+        # Vertex pairs: one stable sort of the pair keys numbers the pairs in
+        # key order and links each position to the previous and next
+        # position of its pair (-1 and n past the ends, and for self-loops).
+        du, dv = dense[:m], dense[m:]
         key = np.minimum(du, dv).astype(np.int64)
         key *= nv
         key += np.maximum(du, dv)
-        del ends, du, dv
-        # A hash, not np.unique(key, return_inverse=True): that would drop
-        # pandas from repro.core with identical outputs, but it sorts every
-        # key, and Table 5's build peak moved both ways (email-eu 56.3 ->
-        # 62.6 B/edge, stackoverflow 71.4 -> 72.6, youtube 74.0 -> 67.7).
-        pid, pkeys = pd.factorize(key)
-        del key
-        pu, pv = np.divmod(pkeys, max(nv, 1))
+        del dense, du, dv
+        order = np.argsort(key, kind="stable").astype(np.int32)
+        key = key[order]
+        first = _run_starts(key)
+        pu, pv = np.divmod(key[first], max(nv, 1))
         ix.pu, ix.pv = _mv(pu), _mv(pv)
+        del key, pu, pv
         if loops:
-            pair = np.full(n, -1, np.int32)
-            pair[keep] = pid
-            ix.pair = _mv(pair)
-        else:
-            ix.pair = _mv(pid)
+            order = np.flatnonzero(keep).astype(np.int32)[order]
+        pair = np.full(n, -1, np.int32)
+        pair[order] = np.cumsum(first, dtype=np.int32) - 1
+        ix.pair = _mv(pair)
+        same = ~first[1:]
+        del first
+        a, b = order[:-1][same], order[1:][same]
+        del order, same
+        prev, nxt = np.full(n, -1, np.int32), np.full(n, n, np.int32)
+        prev[b], nxt[a] = a, b
+        ix.prev, ix.next = _mv(prev), _mv(nxt)
+        del a, b
 
         self.alive = bytearray(keep) if loops else bytearray(b"\x01") * n
-        self.mult = bytearray(b"\x01") * len(pkeys)
-        deg = np.bincount(np.concatenate((pu, pv)), minlength=nv)
+        self.mult = bytearray(b"\x01") * len(ix.pu)
+        deg = np.bincount(np.concatenate((ix.pu.obj, ix.pv.obj)), minlength=nv)
         self.deg = array("i", deg.astype(np.int32).tobytes())
         self.head, self.tail = 0, n - 1
         self.n_edges = m
         self.n_vertices = nv
         self.k = 0
         self.worklist: list[int] = []
-        self.ends: bytearray | None = None
-        self.ends_last = False
 
     # -- factories ---------------------------------------------------------
 
@@ -232,25 +238,7 @@ class TEL:
         cp.n_edges, cp.n_vertices = self.n_edges, self.n_vertices
         cp.k = self.k
         cp.worklist = self.worklist[:]
-        cp.ends, cp.ends_last = self.ends, self.ends_last  # never mutated
         return cp
-
-    def _flag_pairs(self, last: bool) -> None:
-        """Flag each alive pair's first alive position (its last with
-        ``last``) in a new ``ends``: the position whose cut from the right
-        (the left with ``last``) kills the pair, since peeling and cuts
-        delete whole pairs."""
-        h, end = self.head, self.tail + 1
-        ends = bytearray(len(self.alive))
-        if h < end:
-            pos = np.frombuffer(self.alive, np.bool_, end - h, h).nonzero()[0]
-            pos += h
-            pairs = self.ix.pair.obj[pos].astype(np.intp)
-            at = np.empty(len(self.mult), np.intp)
-            at[pairs] = -1 if last else end
-            (np.maximum if last else np.minimum).at(at, pairs, pos)
-            np.frombuffer(ends, np.bool_)[at[pairs]] = True
-        self.ends, self.ends_last = ends, last
 
     # -- manipulations (paper Table 1) -------------------------------------
 
@@ -293,16 +281,19 @@ class TEL:
 
     def _cut(self, a: int, b: int, left: bool) -> None:
         """Delete the alive edges of positions ``[a, b)``, a prefix (``left``)
-        or a suffix of ``[head, tail]``, by killing the pairs flagged in the
-        range: a pair dies when a cut reaches its last (``left``) or first
-        alive position. The flags are set here when missing or flagging the
-        other side; copies share them."""
-        if self.ends is None or left is not self.ends_last:
-            self._flag_pairs(left)
+        or a suffix of ``[head, tail]``, by killing the pairs whose alive
+        edges all lie in the range: those of the alive positions whose next
+        link lies past ``tail`` (``left``) or whose previous link lies
+        before ``head``."""
         self.n_edges -= self.alive.count(1, a, b)
-        flagged = np.frombuffer(self.ends, np.bool_, b - a, a).nonzero()[0]
-        flagged += a
-        self._kill(self.ix.pair.obj[flagged].tolist())
+        if left:
+            dying = self.ix.next.obj[a:b] > self.tail
+        else:
+            dying = self.ix.prev.obj[a:b] < self.head
+        dying &= np.frombuffer(self.alive, np.bool_, b - a, a)
+        pos = dying.nonzero()[0]
+        pos += a
+        self._kill(self.ix.pair.obj[pos].tolist())
 
     def truncate(self, ts: int, te: int) -> None:
         """Delete the edges outside ``[ts, te]``: the positions from ``head``
@@ -325,8 +316,7 @@ class TEL:
 
     def drop_weak_pairs(self, min_strength: int) -> None:
         """Delete every pair with fewer than ``min_strength`` alive edges,
-        counted in one pass over ``[head, tail]``. Whole pairs die, so the
-        flags stay valid."""
+        counted in one pass over ``[head, tail]``."""
         a, b = self.head, self.tail + 1
         alive = np.frombuffer(self.alive, np.bool_, b - a, a)
         pos = alive.nonzero()[0]

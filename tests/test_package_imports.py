@@ -5,7 +5,8 @@ a deleted module fails here, and the test oracles' dependencies (DuckDB,
 Hypothesis) and the ``tests`` package must stay out of ``sys.modules``.
 The driver path (TEL, OTCD, the baseline, the datasets and the paper's
 tables) must also load without PySpark, which only ``repro.sparkdist``
-and the two Spark jobs need.
+and the two Spark jobs need, and the algorithms (``repro.core``,
+``repro.phc``) without pandas: they need only NumPy.
 """
 import os
 import subprocess
@@ -35,6 +36,13 @@ assert "pyspark" not in sys.modules, "the driver path imports pyspark"
 """
 
 
+NUMPY_ONLY_SCRIPT = """
+import sys
+import repro.core, repro.phc
+assert "pandas" not in sys.modules, "repro.core or repro.phc imports pandas"
+"""
+
+
 def run_fresh(script, cwd):
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -52,3 +60,7 @@ def test_package_imports_no_test_only_modules(tmp_path):
 
 def test_driver_path_imports_no_pyspark(tmp_path):
     run_fresh(DRIVER_SCRIPT, tmp_path)
+
+
+def test_algorithms_import_no_pandas(tmp_path):
+    run_fresh(NUMPY_ONLY_SCRIPT, tmp_path)

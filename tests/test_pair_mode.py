@@ -1,11 +1,11 @@
 """The TEL's pair cuts: peeling and cuts delete whole vertex pairs, so a cut
 from the left kills the pairs whose last alive position it reaches and one
-from the right those whose first it reaches, flagged once per side and
-shared by copies. The sweep's row-start chain is cut from the left only and
-each row from the right only, so both reuse their flags. Checked against
-the brute-force reference on adversarial graphs, on anchor blocks
-``rows=(lo, hi)`` with ``hi < Te``, with the link-strength extension, and
-through arbitrary sequences of cuts from either side and copies."""
+from the right those whose first it reaches, read off the index's
+same-pair links (a next position past ``tail``, a previous one before
+``head``) with no per-copy state. Checked against the brute-force
+reference on adversarial graphs, on anchor blocks ``rows=(lo, hi)`` with
+``hi < Te``, with the link-strength extension, and through arbitrary
+sequences of cuts from either side and copies."""
 from operator import itemgetter
 
 import pytest
@@ -146,9 +146,9 @@ def check(tel, model, edges):
 )
 def test_one_sided_cut_sequences(edges, k, ops):
     """From a first two-sided operation, any sequence of one-sided cuts
-    from either side and copies (which share the cut flags) matches the
-    reference: a cut flags its side when the flags are missing or of the
-    other side, and reuses them otherwise."""
+    from either side and copies (which share the index's links) matches
+    the reference: a cut reads the links of its side, whatever side the
+    TEL or the copy it came from was cut from before."""
     tel = TEL(*arrays_of(edges))
     lo, hi = 2, 7
     tcd_operation(tel, k, lo, hi)

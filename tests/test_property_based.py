@@ -31,8 +31,28 @@ edges_st = time_sorted(edge_st)
 @given(edges=time_sorted(loopy_edge_st))
 def test_tel_build_invariants(edges):
     """Self-loops keep their positions, so they may be the first or last
-    positions of the window, but never count as edges."""
+    positions of the window, but never count as edges. The same-pair links
+    chain each pair's positions in order: -1 and ``n`` past its ends and
+    for self-loops."""
     tel = tel_of(edges)
+    n = len(edges)
+    pair, prev, nxt = (list(a) for a in (tel.ix.pair, tel.ix.prev, tel.ix.next))
+    positions = {}
+    for i, p in enumerate(pair):
+        if p < 0:
+            assert (prev[i], nxt[i]) == (-1, n)
+            continue
+        positions.setdefault(p, []).append(i)
+        assert prev[i] < i < nxt[i]
+        assert prev[i] < 0 or (pair[prev[i]] == p and nxt[prev[i]] == i)
+        assert nxt[i] == n or pair[nxt[i]] == p
+    for p, pos in positions.items():
+        walk, i = [], pos[0]
+        assert prev[i] == -1
+        while i != n:
+            walk.append(i)
+            i = nxt[i]
+        assert walk == pos
     real = [e for e in edges if e[0] != e[1]]
     assert tel.n_edges == len(real)
     ts = sorted({t for _, _, t in real})
@@ -147,8 +167,8 @@ def test_operation_sequences_match_reference(edges, ops, dropped):
     every degree; single-tick windows; link strength; each optionally
     preceded by a truncating ``k=0`` call) and ``copy()`` on TELs sharing
     one index matches ``reference.temporal_kcore`` applied to each TEL's
-    graph: no call sequence drops a peel candidate, keeps a stale cut flag,
-    leaves a position alive without its pair or leaks state between
+    graph: no call sequence drops a peel candidate, kills a pair that keeps
+    an edge, leaves a position alive without its pair or leaks state between
     copies. Given ``dropped``, the edges with those ids become self-loops:
     they keep their ids but are not indexed."""
     if dropped:
