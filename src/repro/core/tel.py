@@ -66,7 +66,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,6 +88,47 @@ def _run_starts(s: np.ndarray) -> np.ndarray:
     first[:1] = True
     np.not_equal(s[1:], s[:-1], out=first[1:])
     return first
+
+
+def _sort_stably(keys: np.ndarray) -> np.ndarray:
+    """Sort int64 ``keys`` in place; return the stable argsort that did it.
+
+    NumPy's default sort of unique int64 keys runs several times faster
+    than its stable timsort, so the keys sort as the unique composites
+    ``(key - min) << s | i`` with ``2**s >= n``, whose order is the stable
+    one and whose low ``s`` bits are the argsort. Keys whose composite
+    could overflow int64 take the stable sort instead."""
+    n = len(keys)
+    if not n:
+        return np.arange(0)
+    lo = int(keys.min())
+    s = (n - 1).bit_length()
+    if (int(keys.max()) - lo + 1) << s > 2**63:
+        order = np.argsort(keys, kind="stable")
+        keys[:] = keys[order]
+        return order
+    order = np.arange(n)
+    keys -= lo
+    keys <<= s
+    keys |= order
+    keys.sort()
+    np.bitwise_and(keys, (1 << s) - 1, out=order)
+    u = keys.view(np.uint64)  # NumPy shifts unsigned ints faster
+    u >>= np.uint64(s)
+    keys += lo
+    return order
+
+
+# The largest value the index's int32 arrays hold: positions reach the
+# window's edge count n and incidence entries 2n, so a window holds at most
+# half of it.
+_INT32_MAX = 2**31 - 1
+
+# A kill of fewer pairs runs as a Python loop, which costs less than the
+# batch path's ten-odd NumPy calls. On the sf=1 Table-6 scan the median cut
+# kills 10 pairs and 93% of all kills fall in cuts of 64 or more; cutoffs of
+# 16 and 256 timed slower than 64, and the batch path alone slowest.
+_BATCH = 64
 
 
 def _mv(a: np.ndarray, dtype=np.int32) -> memoryview:
@@ -138,6 +179,12 @@ class TEL:
                 f"with ids {eids!r}: the columns must be equally long and the "
                 "ids a contiguous range inside them"
             )
+        if 2 * len(eids) > _INT32_MAX:
+            raise ValueError(
+                f"a window of {len(eids):,} edge ids is too large: the index "
+                "stores positions and incidence entries (two per edge) as int32, "
+                f"so a window holds at most {_INT32_MAX // 2:,} edges"
+            )
         ix = self.ix = _Index()
         ix.ids = eids
 
@@ -167,8 +214,7 @@ class TEL:
         m = len(u)
         both = np.concatenate((u, v))
         del u, v
-        order = np.argsort(both, kind="stable")
-        both = both[order]
+        order = _sort_stably(both)
         first = _run_starts(both)
         ix.labels = _mv(both[first], np.int64)
         del both
@@ -192,14 +238,13 @@ class TEL:
         key *= nv
         key += np.maximum(du, dv)
         del dense, du, dv
-        order = np.argsort(key, kind="stable").astype(np.int32)
-        key = key[order]
+        order = _sort_stably(key)
         first = _run_starts(key)
         pu, pv = np.divmod(key[first], max(nv, 1))
         ix.pu, ix.pv = _mv(pu), _mv(pv)
         del key, pu, pv
         if loops:
-            order = np.flatnonzero(keep).astype(np.int32)[order]
+            order = np.flatnonzero(keep)[order]
         pair = np.full(n, -1, np.int32)
         pair[order] = np.cumsum(first, dtype=np.int32) - 1
         ix.pair = _mv(pair)
@@ -258,17 +303,19 @@ class TEL:
         tvals, tstart = self.ix.tvals, self.ix.tstart
         return tvals[bisect_right(tstart, h) - 1], tvals[bisect_right(tstart, t) - 1]
 
-    def _kill(self, pairs: Iterable[int]) -> None:
-        """Kill the alive pairs among ``pairs`` (``mult`` drops to 0): their
-        endpoints lose a neighbour each, and every vertex whose degree falls
-        below ``k`` is pushed on the worklist. Their edges are the caller's."""
-        mult, deg = self.mult, self.deg
-        pu, pv = self.ix.pu, self.ix.pv
-        below = self.k - 1
-        wl = self.worklist
-        gone = 0
-        for p in pairs:
-            if mult[p]:
+    def _kill(self, pairs: list[int] | np.ndarray) -> None:
+        """Kill ``pairs``, distinct alive pair ids (``mult`` drops to 0):
+        their endpoints lose a neighbour each, and every vertex whose degree
+        falls below ``k`` is pushed on the worklist. Their edges are the
+        caller's. A batch of ``_BATCH`` or more counts the endpoints with
+        NumPy."""
+        ix = self.ix
+        if len(pairs) < _BATCH:
+            mult, deg, pu, pv = self.mult, self.deg, ix.pu, ix.pv
+            below = self.k - 1
+            wl = self.worklist
+            gone = 0
+            for p in pairs if isinstance(pairs, list) else pairs.tolist():
                 mult[p] = 0
                 for a in (pu[p], pv[p]):
                     d = deg[a] - 1
@@ -277,7 +324,20 @@ class TEL:
                         wl.append(a)
                     elif not d:
                         gone += 1
-        self.n_vertices -= gone
+            self.n_vertices -= gone
+            return
+        pairs = np.asarray(pairs, np.intp)
+        np.frombuffer(self.mult, np.uint8)[pairs] = 0
+        ends, lost = np.unique(
+            np.concatenate((ix.pu.obj[pairs], ix.pv.obj[pairs])), return_counts=True
+        )
+        deg = np.frombuffer(self.deg, np.intc)
+        old = deg[ends]
+        new = old - lost
+        deg[ends] = new
+        k = self.k
+        self.worklist += ends[(old >= k) & (new < k)].tolist()
+        self.n_vertices -= int(np.count_nonzero(new == 0))
 
     def _cut(self, a: int, b: int, left: bool) -> None:
         """Delete the alive edges of positions ``[a, b)``, a prefix (``left``)
@@ -293,7 +353,7 @@ class TEL:
         dying &= np.frombuffer(self.alive, np.bool_, b - a, a)
         pos = dying.nonzero()[0]
         pos += a
-        self._kill(self.ix.pair.obj[pos].tolist())
+        self._kill(self.ix.pair.obj[pos])
 
     def truncate(self, ts: int, te: int) -> None:
         """Delete the edges outside ``[ts, te]``: the positions from ``head``
@@ -325,35 +385,40 @@ class TEL:
         weak = pos[count[pairs] < min_strength]
         alive[weak] = False
         self.n_edges -= len(weak)
-        self._kill(np.flatnonzero((count > 0) & (count < min_strength)).tolist())
+        self._kill(np.flatnonzero((count > 0) & (count < min_strength)))
 
     def peel(self, k: int) -> None:
         """Delete every vertex with fewer than ``k`` distinct neighbours,
         repeatedly (the k-core). The worklist holds every vertex whose
         degree fell below the threshold ``self.k``; a higher ``k`` rescans
         the degrees, and ``k <= 1`` has nothing to peel and keeps the
-        worklist for the next call. A peeled vertex clears its alive
-        positions inside ``[head, tail]``; each pair dies at the first."""
+        worklist for the next call. Peeling runs in rounds: a round clears
+        the alive positions inside ``[head, tail]`` of every worklist vertex
+        and kills their pairs in one call, whose pushes make the next
+        round's worklist."""
         if k <= 1:
             return
-        deg = self.deg
         if k > self.k:
-            self.worklist = [v for v, d in enumerate(deg) if 0 < d < k]
+            deg = np.frombuffer(self.deg, np.intc)
+            self.worklist = np.flatnonzero((deg > 0) & (deg < k)).tolist()
         self.k = k
-        wl = self.worklist
-        if not wl:
+        if not self.worklist:
             return
         ix = self.ix
-        inc, ptr, pair = ix.inc, ix.inc_ptr, ix.pair
-        alive, h, t = self.alive, self.head, self.tail
-        while wl:
-            v = wl.pop()
-            if 0 < deg[v] < k:
-                dead = [i for i in inc[ptr[v]:ptr[v + 1]] if h <= i <= t and alive[i]]
-                for i in dead:
-                    alive[i] = 0
-                self.n_edges -= len(dead)
-                self._kill(map(pair.__getitem__, dead))
+        inc, ptr, pair, nxt = ix.inc, ix.inc_ptr, ix.pair, ix.next
+        alive, deg, h, t = self.alive, self.deg, self.head, self.tail
+        while self.worklist:
+            wl, self.worklist = self.worklist, []
+            dead = []
+            for v in wl:
+                if 0 < deg[v] < k:  # pushed under a higher k, it may be in the core
+                    mine = [i for i in inc[ptr[v]:ptr[v + 1]] if h <= i <= t and alive[i]]
+                    for i in mine:
+                        alive[i] = 0
+                    dead += mine
+            self.n_edges -= len(dead)
+            # A pair's last position inside [h, t] names it once.
+            self._kill([pair[i] for i in dead if nxt[i] > t])
 
     # -- derived views -----------------------------------------------------
 

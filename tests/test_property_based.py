@@ -1,12 +1,15 @@
 """Hypothesis property tests: TEL invariants and algorithm agreement on
 arbitrary generated temporal multigraphs."""
 from operator import itemgetter
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.otcd import otcd_query, tcd_query
 from repro.core.tcd import tcd_operation
+from repro.core import tel as tel_module
 from repro.core.tel import TEL
 
 from . import reference as ref
@@ -175,6 +178,12 @@ def test_operation_sequences_match_reference(edges, ops, dropped):
         edges = [
             (u, u if i in dropped else v, t) for i, (u, v, t) in enumerate(edges)
         ]
+    run_operations(edges, ops)
+
+
+def run_operations(edges, ops):
+    """Apply ``ops`` (see ``op_st``) to a TEL of ``edges`` and its copies,
+    checking every TEL against the reference after each step."""
     tel = TEL(*(list(x) for x in zip(*edges)))
     handles = [[tel, {e for e, (u, v, _) in enumerate(edges) if u != v}]]
     for op, i, *args in ops:
@@ -198,3 +207,22 @@ def test_operation_sequences_match_reference(edges, ops, dropped):
             handles.append([tel.copy(), set(ids)])
         for other, m in handles:
             check_views(other, m, edges)
+
+
+@pytest.mark.parametrize("cutoff", [0, 10**9])
+@settings(max_examples=200, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 6)),
+        min_size=8, max_size=60,
+    ).map(lambda es: sorted(es, key=itemgetter(2))),
+    ops=st.lists(op_st, min_size=4, max_size=20),
+)
+def test_kill_paths_match_reference(cutoff, edges, ops):
+    """The kill kernel's two paths, forced by its batch cutoff (0: every
+    kill through NumPy, 10**9: every kill as a Python loop), keep degrees,
+    counts, the pair invariant and the cores equal to the reference through
+    cuts from both sides, ``drop_weak_pairs`` at ``min_strength`` 2, rising
+    ``k`` and peel cascades over sparse graphs."""
+    with mock.patch.object(tel_module, "_BATCH", cutoff):
+        run_operations(edges, ops)

@@ -1,8 +1,11 @@
 """Unit tests for the TEL data structure (paper §5.1, Table 1)."""
+import numpy as np
 import pytest
 
+from repro.core.otcd import otcd_query
+
 from repro.core.tcd import tcd_operation, window_tel
-from repro.core.tel import TEL
+from repro.core.tel import TEL, _sort_stably
 
 from .util import (
     append_edges, random_temporal_graph, sig_ids, tel_edges, tel_of, tel_times,
@@ -188,3 +191,60 @@ class TestWindowTel:
         edges = [(1, 2, 1), (2, 3, 5), (1, 3, 9)]
         tel = tel_of(edges, 2, 8)
         assert sig_ids(tel.signature()) == {1}
+
+
+class TestBuildSorts:
+    """The build sorts unique composite keys ``(key - min) << s | i``
+    (``2**s >= n``) with NumPy's default sort and takes the stable sort when
+    one could overflow int64; both give the stable order."""
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [3, 1, 3, 0, 1, 3],
+            [-5, 7, -5, 7, 0],
+            # (max - min + 1) * 2**s == 2**63 (n = 2**s = 4): the largest
+            # composite is 2**63 - 1.
+            [2**61 - 1, 0, 2**61 - 1, 0],
+            # One more: the composite would overflow, so the stable sort runs.
+            [2**61, 0, 2**61, 0],
+            [2**62, -(2**62), 0, 2**62, -(2**62)],
+            [],
+        ],
+    )
+    def test_sort_stably_is_the_stable_argsort(self, keys):
+        keys = np.array(keys, np.int64)
+        want = np.argsort(keys, kind="stable")
+        got = keys.copy()
+        assert _sort_stably(got).tolist() == want.tolist()
+        assert got.tolist() == keys[want].tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_labels_past_the_composite_range(self, seed, monkeypatch):
+        """Labels spanning about +-2**62 overflow the endpoint composite, so
+        that sort falls back to the stable one; the index and the answers
+        equal those of a densely relabelled copy, which sorts composites."""
+        edges = random_temporal_graph(seed, n_vertices=12, n_edges=60)
+        vertices = sorted({x for u, v, _ in edges for x in (u, v)})
+        spread = np.linspace(-(2**62), 2**62, len(vertices)).astype(np.int64)
+        huge = dict(zip(vertices, spread.tolist()))
+        dense = {x: r for r, x in enumerate(vertices)}
+        stable_sorts = []
+        argsort = np.argsort
+
+        def spy(a, kind=None):
+            stable_sorts.append(kind)
+            return argsort(a, kind=kind)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        tels = []
+        for name in (huge, dense):
+            relabelled = [(name[u], name[v], t) for u, v, t in edges]
+            tels.append(tel_of(relabelled))
+        assert stable_sorts == ["stable"]
+        big, small = tels
+        for field in ("pair", "prev", "next", "inc", "inc_ptr", "pu", "pv"):
+            assert list(getattr(big.ix, field)) == list(getattr(small.ix, field))
+        assert list(big.ix.labels) == sorted(huge.values())
+        for k in (1, 2, 3):
+            assert otcd_query(big, k, 1, 8).cores == otcd_query(small, k, 1, 8).cores

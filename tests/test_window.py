@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.otcd import otcd_query, tcd_query
 from repro.core.tcd import tcd_operation, window_tel
+from repro.core import tel as tel_module
 from repro.core.tel import TEL
 from repro.datasets.temporal import DATASETS, edge_arrays, generate_pdf
 from repro.phc.baseline import iphc_query
@@ -174,6 +175,17 @@ def test_tel_rejects_non_integer_timestamps(ts):
 def test_tel_rejects_unsorted_edge_list():
     with pytest.raises(ValueError, match="sorted"):
         TEL([1, 2], [2, 3], [2, 1])
+
+
+def test_tel_rejects_windows_past_the_int32_index(monkeypatch):
+    """Positions and incidence entries (two per edge) are stored as int32,
+    so a window of more than half the int32 maximum is rejected; checked
+    on a patched maximum of 11, which admits windows of 5 edges."""
+    monkeypatch.setattr(tel_module, "_INT32_MAX", 11)
+    us, vs, ts = [0, 1, 2, 0, 1, 2], [1, 2, 0, 1, 2, 0], [1, 1, 1, 2, 2, 3]
+    with pytest.raises(ValueError, match="at most 5 edges"):
+        TEL(us, vs, ts)
+    assert TEL(us, vs, ts, eids=range(1, 6)).n_edges == 5
 
 
 def test_append_leaves_shared_arrays_alone():
