@@ -3,7 +3,7 @@
 ``tcd_operation`` mutates a TEL in place: *truncation* drops the edges
 outside ``[ts, te]`` (two position ranges of the time-sorted TEL), then
 *decomposition* peels vertices with fewer than ``k`` distinct neighbours
-(the TEL's below-k worklist).
+(the TEL's below-k worklist, in rounds).
 By Theorem 1 it may be applied to any temporal k-core whose interval
 contains ``[ts, te]``, which is what makes the decremental schedule
 sweep of Algorithms 2 and 3 (:func:`repro.core.otcd.sweep`) correct.

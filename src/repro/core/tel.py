@@ -17,7 +17,9 @@ SL/DL), 20 B in all; the global id of a position is ``ids[pos]``, a
 ``tvals`` (8 B) and the first position ``tstart`` (4 B), so the
 timestamp of a position is one ``bisect`` away; per pair its dense
 endpoints ``pu/pv``; per vertex its label ``labels`` (8 B) and
-``inc_ptr``.
+``inc_ptr``. Positions, pair ids, links and incidence entries are int32,
+so a window holds at most 2**30 - 1 edges; ``TEL(...)`` rejects a larger
+one. Both build sorts sort unique composite keys (:func:`_sort_stably`).
 
 **Per-copy state.** A TEL holds only flat counters of its own, so
 ``copy()`` is a few memcpys: ``alive`` (1 B per edge), a pair-alive flag
@@ -40,10 +42,13 @@ the one whose ``next`` lies past ``tail``, and its first the one whose
 ``prev`` lies before ``head``, so a cut subtracts the alive bytes of its
 range from ``n_edges`` and kills the pairs of those positions in the
 range, with no state of its own: any sequence of cuts from either side
-on any copy reads the same two links. Peeling uses a *below-k
-worklist*: every vertex whose degree drops below the TEL's threshold
-``k`` is pushed once, and a peeled vertex skips its positions outside
-``[head, tail]``.
+on any copy reads the same two links. Every kill goes through one
+kernel, ``_kill``, which takes a batch of pairs: a Python loop below
+``_BATCH`` pairs, NumPy endpoint counts from there on. It pushes every
+vertex whose degree drops below the TEL's threshold ``k`` on a worklist,
+and peeling runs in rounds: a round clears the alive positions inside
+``[head, tail]`` of every worklist vertex and kills their pairs in one
+kernel call, whose pushes make the next round.
 
 **Input model.** A temporal graph is three parallel edge arrays
 ``edge_u/edge_v/edge_t`` of integers sorted by ``t`` (non-decreasing,
@@ -124,10 +129,12 @@ def _sort_stably(keys: np.ndarray) -> np.ndarray:
 # half of it.
 _INT32_MAX = 2**31 - 1
 
-# A kill of fewer pairs runs as a Python loop, which costs less than the
-# batch path's ten-odd NumPy calls. On the sf=1 Table-6 scan the median cut
-# kills 10 pairs and 93% of all kills fall in cuts of 64 or more; cutoffs of
-# 16 and 256 timed slower than 64, and the batch path alone slowest.
+# A kill of fewer pairs, or a peel round of fewer vertices, runs as a Python
+# loop, which costs less than the ten-odd NumPy calls of the batch path. On
+# the sf=1 Table-6 scan the median cut kills 10 pairs and 93% of all kills
+# fall in cuts of 64 or more; there, cutoffs of 16 and 256 timed slower than
+# 64 and the batch path alone slowest, and the 20 Table-3 queries' OTCD
+# answers timed alike from 64 to 256 and slower below 32.
 _BATCH = 64
 
 
@@ -394,8 +401,9 @@ class TEL:
         the degrees, and ``k <= 1`` has nothing to peel and keeps the
         worklist for the next call. Peeling runs in rounds: a round clears
         the alive positions inside ``[head, tail]`` of every worklist vertex
-        and kills their pairs in one call, whose pushes make the next
-        round's worklist."""
+        still below ``k`` (with NumPy from ``_BATCH`` vertices on) and kills
+        their pairs in one call, whose pushes make the next round's
+        worklist."""
         if k <= 1:
             return
         if k > self.k:
@@ -409,16 +417,32 @@ class TEL:
         alive, deg, h, t = self.alive, self.deg, self.head, self.tail
         while self.worklist:
             wl, self.worklist = self.worklist, []
-            dead = []
-            for v in wl:
-                if 0 < deg[v] < k:  # pushed under a higher k, it may be in the core
-                    mine = [i for i in inc[ptr[v]:ptr[v + 1]] if h <= i <= t and alive[i]]
-                    for i in mine:
-                        alive[i] = 0
-                    dead += mine
+            if len(wl) < _BATCH:
+                dead = []
+                for v in wl:
+                    if 0 < deg[v] < k:  # pushed under a higher k, it may be in the core
+                        mine = [i for i in inc[ptr[v]:ptr[v + 1]] if h <= i <= t and alive[i]]
+                        for i in mine:
+                            alive[i] = 0
+                        dead += mine
+                pairs = [pair[i] for i in dead if nxt[i] > t]
+            else:
+                w = np.array(wl)
+                d = np.frombuffer(deg, np.intc)[w]
+                w = w[(d > 0) & (d < k)]
+                lo = ptr.obj[w]
+                n = ptr.obj[w + 1] - lo
+                # The incidence ranges [lo, lo + n) of w, concatenated.
+                at = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+                dead = inc.obj[at]
+                dead = dead[(dead >= h) & (dead <= t)]
+                on = np.frombuffer(alive, np.bool_)
+                dead = np.unique(dead[on[dead]])  # an edge inside w is listed twice
+                on[dead] = False
+                pairs = pair.obj[dead[nxt.obj[dead] > t]]
             self.n_edges -= len(dead)
             # A pair's last position inside [h, t] names it once.
-            self._kill([pair[i] for i in dead if nxt[i] > t])
+            self._kill(pairs)
 
     # -- derived views -----------------------------------------------------
 

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
+from repro.core import tel as tel_module
 from repro.core.otcd import otcd_query
-
 from repro.core.tcd import tcd_operation, window_tel
 from repro.core.tel import TEL, _sort_stably
 
@@ -145,6 +145,18 @@ class TestPeelWorklist:
         tcd_operation(tel, 0, 2, 3)  # drops (1, 2): 2 now has one neighbour
         tcd_operation(tel, 2, 2, 3)
         assert tel_edges(edges, tel) == [(1, 3, 2), (3, 4, 2), (4, 1, 3)]
+
+    @pytest.mark.parametrize("cutoff", [0, 64])
+    def test_falling_k_keeps_vertices_at_the_new_k(self, cutoff, monkeypatch):
+        """A cut at ``k=3`` pushes 2 and 3 below 3; the next call at ``k=2``
+        finds them at degree 2 and keeps them, on both peel-round paths."""
+        monkeypatch.setattr(tel_module, "_BATCH", cutoff)
+        edges = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 2)]
+        tel = tel_of(edges)
+        tcd_operation(tel, 3, 1, 2)
+        assert tel.n_edges == 6
+        tcd_operation(tel, 2, 1, 1)
+        assert tel_edges(edges, tel) == sorted(edges[:5])
 
     def test_rising_k_rescans(self):
         tel = tel_of([(1, 2, 1), (2, 3, 1), (1, 3, 1), (3, 4, 1), (4, 1, 1)])
