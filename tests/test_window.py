@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import tel as tel_module
 from repro.core.otcd import otcd_query, tcd_query
 from repro.core.tcd import tcd_operation, window_tel
-from repro.core import tel as tel_module
 from repro.core.tel import TEL
 from repro.datasets.temporal import DATASETS, edge_arrays, generate_pdf
 from repro.phc.baseline import iphc_query
