@@ -22,16 +22,16 @@ so a window holds at most 2**30 - 1 edges; ``TEL(...)`` rejects a larger
 one. Both build sorts sort unique composite keys (:func:`_sort_stably`).
 
 **Per-copy state.** A TEL holds only flat counters of its own, so
-``copy()`` is a few memcpys: ``alive`` (1 B per edge), a pair-alive flag
-``mult`` (1 B per pair), distinct alive neighbours per vertex ``deg``
-(4 B), the counts ``n_edges``/``n_vertices`` and ``head``/``tail``,
-position bounds of the alive edges that only move inwards: ``truncate``
-moves them past the positions it drops, and ``get_tti`` tightens them to
-the first and last alive positions with ``alive.find``/``rfind`` (a C
-scan, O(1) amortised) and maps those two to their timestamps. ``alive``
-is exact inside ``[head, tail]`` only: there a position is alive exactly
-when its pair is, and everything reads only those positions, so a core
-collected from a large window costs its TTI's positions, not the window's.
+``copy()`` is a few memcpys: ``alive`` (1 B per edge), distinct alive
+neighbours per vertex ``deg`` (4 B), the counts ``n_edges``/``n_vertices``
+and ``head``/``tail``, position bounds of the alive edges that only move
+inwards: ``truncate`` moves them past the positions it drops, and
+``get_tti`` tightens them to the first and last alive positions with
+``alive.find``/``rfind`` (a C scan, O(1) amortised) and maps those two to
+their timestamps. ``alive`` is exact inside ``[head, tail]`` only: there
+a position is alive exactly when its pair is, and no other state records
+a dead pair. Everything reads only those positions, so a core collected
+from a large window costs its TTI's positions, not the window's.
 
 **Pair cuts.** Every deletion (cuts, ``drop_weak_pairs``, peeling) kills
 whole pairs, so a cut from the left kills exactly the pairs whose last
@@ -57,7 +57,7 @@ makes every window ``G_[ts,te]`` a contiguous id range that
 :func:`repro.core.tcd.window_ids` cuts by binary search and a truncation
 one position range. ``TEL(...)`` raises ``ValueError`` on columns of
 different lengths, ids that are not a contiguous range inside them,
-non-integer values or ids that are not time-sorted. Self-loops
+non-integer values, values past int64 or ids not sorted by time. Self-loops
 ``(v, v, t)`` keep their id but never join a TEL: degree counts distinct
 *other* vertices. A TEL reads the arrays once, while it builds its
 index, and keeps no reference to them; the index is never mutated after
@@ -84,6 +84,8 @@ def _column(seq: Sequence, ids: range, what: str) -> np.ndarray:
     a = np.asarray(part)
     if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers (got dtype {a.dtype})")
+    if a.size and a.dtype.kind == "u" and a.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{what} must fit in int64 (got {a.max()})")
     return a.astype(np.int64, copy=False)
 
 
@@ -166,7 +168,7 @@ class TEL:
     """
 
     __slots__ = (
-        "ix", "alive", "mult", "deg", "head", "tail",
+        "ix", "alive", "deg", "head", "tail",
         "n_edges", "n_vertices", "k", "worklist",
     )
 
@@ -265,8 +267,7 @@ class TEL:
         del a, b
 
         self.alive = bytearray(keep) if loops else bytearray(b"\x01") * n
-        self.mult = bytearray(b"\x01") * len(ix.pu)
-        deg = np.bincount(np.concatenate((ix.pu.obj, ix.pv.obj)), minlength=nv)
+        deg = np.bincount(ix.pu.obj, minlength=nv) + np.bincount(ix.pv.obj, minlength=nv)
         self.deg = array("i", deg.astype(np.int32).tobytes())
         self.head, self.tail = 0, n - 1
         self.n_edges = m
@@ -284,7 +285,6 @@ class TEL:
         cp = TEL.__new__(TEL)
         cp.ix = self.ix
         cp.alive = self.alive[:]
-        cp.mult = self.mult[:]
         cp.deg = self.deg[:]
         cp.head, cp.tail = self.head, self.tail
         cp.n_edges, cp.n_vertices = self.n_edges, self.n_vertices
@@ -311,19 +311,18 @@ class TEL:
         return tvals[bisect_right(tstart, h) - 1], tvals[bisect_right(tstart, t) - 1]
 
     def _kill(self, pairs: list[int] | np.ndarray) -> None:
-        """Kill ``pairs``, distinct alive pair ids (``mult`` drops to 0):
-        their endpoints lose a neighbour each, and every vertex whose degree
-        falls below ``k`` is pushed on the worklist. Their edges are the
-        caller's. A batch of ``_BATCH`` or more counts the endpoints with
-        NumPy."""
+        """Kill ``pairs``, distinct alive pair ids: their endpoints lose a
+        neighbour each, and every vertex whose degree falls below ``k`` is
+        pushed on the worklist. Their edges are the caller's, and a pair is
+        dead once they are cleared: nothing else records it. A batch of
+        ``_BATCH`` or more counts the endpoints with NumPy."""
         ix = self.ix
         if len(pairs) < _BATCH:
-            mult, deg, pu, pv = self.mult, self.deg, ix.pu, ix.pv
+            deg, pu, pv = self.deg, ix.pu, ix.pv
             below = self.k - 1
             wl = self.worklist
             gone = 0
             for p in pairs if isinstance(pairs, list) else pairs.tolist():
-                mult[p] = 0
                 for a in (pu[p], pv[p]):
                     d = deg[a] - 1
                     deg[a] = d
@@ -334,7 +333,6 @@ class TEL:
             self.n_vertices -= gone
             return
         pairs = np.asarray(pairs, np.intp)
-        np.frombuffer(self.mult, np.uint8)[pairs] = 0
         ends, lost = np.unique(
             np.concatenate((ix.pu.obj[pairs], ix.pv.obj[pairs])), return_counts=True
         )
@@ -388,7 +386,7 @@ class TEL:
         alive = np.frombuffer(self.alive, np.bool_, b - a, a)
         pos = alive.nonzero()[0]
         pairs = self.ix.pair.obj[pos + a]
-        count = np.bincount(pairs, minlength=len(self.mult))
+        count = np.bincount(pairs, minlength=len(self.ix.pu))
         weak = pos[count[pairs] < min_strength]
         alive[weak] = False
         self.n_edges -= len(weak)

@@ -130,17 +130,23 @@ op_st = st.one_of(
 
 def check_views(tel, ids, edges):
     """``tel`` holds exactly the edges with the ids ``ids`` (positions in
-    ``edges``), every position in ``[head, tail]`` is alive exactly when
-    its pair is, and its views bounded by the live time range equal scans
-    of its positions."""
-    pair, mult, alive = tel.ix.pair, tel.mult, tel.alive
-    broken = [
-        i for i in range(tel.head, tel.tail + 1)
-        if bool(alive[i]) != (pair[i] >= 0 and bool(mult[pair[i]]))
-    ]
+    ``edges``), inside ``[head, tail]`` no self-loop is alive and every
+    position is alive exactly when the other positions of its pair there
+    are, and its views bounded by the live time range equal scans of its
+    positions. The degree checks then catch a pair killed without its
+    positions cleared, or cleared without being killed."""
+    pair, alive = tel.ix.pair, tel.alive
+    state = {}
+    broken = []
+    for i in range(tel.head, tel.tail + 1):
+        if pair[i] < 0:
+            if alive[i]:
+                broken.append(i)
+        elif state.setdefault(pair[i], alive[i]) != alive[i]:
+            broken.append(i)
     assert not broken, (
-        f"positions {broken} in [{tel.head}, {tel.tail}] are alive while their "
-        "pair is dead, or dead while it is alive"
+        f"positions {broken} in [{tel.head}, {tel.tail}] are alive self-loops, "
+        "or differ in aliveness from an earlier position of their pair"
     )
     assert alive_ids(tel) == ids
     assert sig_ids(tel.signature()) == ids

@@ -5,6 +5,7 @@ import math
 from collections.abc import Sequence
 from operator import itemgetter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +171,28 @@ def test_tel_checks_columns_and_ids(us, vs, ts, eids):
 def test_tel_rejects_non_integer_timestamps(ts):
     with pytest.raises(ValueError, match="integers"):
         TEL([1, 2], [2, 3], ts)
+
+
+@pytest.mark.parametrize("column, what", [(0, "vertex ids"), (2, "timestamps")])
+def test_tel_rejects_unsigned_values_past_int64(column, what):
+    """An unsigned value above the int64 maximum would wrap in the int64
+    index, so it is rejected with its column named."""
+    cols = [np.array(c, np.uint64) for c in ([1, 2, 3], [2, 3, 1], [1, 2, 3])]
+    cols[column][-1] = 2**63 + 5
+    with pytest.raises(ValueError, match=f"{what} must fit in int64"):
+        TEL(*cols)
+
+
+def test_tel_builds_in_range_unsigned_columns_like_int64():
+    us, vs, ts = [0, 5, 2**63 - 1, 0], [5, 2**63 - 1, 0, 7], [1, 2, 2, 2**63 - 1]
+    a = TEL(*(np.array(c, np.uint64) for c in (us, vs, ts)))
+    b = TEL(*(np.array(c, np.int64) for c in (us, vs, ts)))
+    for field in ("tvals", "tstart", "pair", "prev", "next", "inc", "inc_ptr",
+                  "pu", "pv", "labels"):
+        assert list(getattr(a.ix, field)) == list(getattr(b.ix, field))
+    assert a.vertices() == {0, 5, 2**63 - 1, 7}
+    assert a.get_tti() == b.get_tti() == (1, 2**63 - 1)
+    assert (a.alive, a.deg) == (b.alive, b.deg)
 
 
 def test_tel_rejects_unsorted_edge_list():
